@@ -15,36 +15,30 @@
 //! ```text
 //! serve_load (--addr host:port | --model-file model.tevot)
 //!            [--requests N] [--connections N] [--transitions N]
-//!            [--replicas N] [--dfs] [--label NAME] [--out report.json]
-//!            [--expect-clean] [--max-shed N]
+//!            [--replicas N] [--dfs] [--expect-clean] [--max-shed N]
 //! ```
 //!
 //! `--dfs` drives `POST /dfs` (clock recommendations) instead of
-//! `POST /predict`, and reports `serve.dfs_qps`/`serve.dfs_p50_us`/
-//! `serve.dfs_p99_us` so the two data paths stay distinct in tracked
-//! reports.
+//! `POST /predict`. The run prints one summary: request counts by
+//! outcome, throughput, and client-side p50/p99 latency.
 //!
-//! `--out` writes a `tevot-bench/1` report with `serve.qps`,
-//! `serve.p50_us` and `serve.p99_us`, comparable with `bench_compare`.
 //! `--expect-clean` exits 1 if any request was shed or failed — the CI
 //! smoke assertion. `--max-shed N` is the chaos-tolerant variant: errors
 //! must still be zero, but up to N shed responses are allowed (a replica
 //! kill under load legitimately sheds a bounded burst while the router
 //! ejects the corpse).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use tevot_bench::baseline::BenchReport;
 use tevot_fleet::{InProcessLauncher, Router, RouterConfig};
 use tevot_serve::loadgen::{run, LoadConfig};
 use tevot_serve::{ServeConfig, Server, DEFAULT_MODEL};
 
 const USAGE: &str = "usage: serve_load (--addr host:port | --model-file model.tevot) \
                      [--requests N] [--connections N] [--transitions N] \
-                     [--replicas N] [--dfs] [--label NAME] [--out report.json] \
-                     [--expect-clean] [--max-shed N]";
+                     [--replicas N] [--dfs] [--expect-clean] [--max-shed N]";
 
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("serve_load: {message}\n{USAGE}");
@@ -54,8 +48,6 @@ fn usage_error(message: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut addr = None;
     let mut model_file = None;
-    let mut out: Option<PathBuf> = None;
-    let mut label = "serve".to_string();
     let mut config = LoadConfig::default();
     let mut expect_clean = false;
     let mut max_shed: Option<usize> = None;
@@ -71,14 +63,6 @@ fn main() -> ExitCode {
             },
             "--model-file" => match value("--model-file") {
                 Ok(v) => model_file = Some(v),
-                Err(e) => return usage_error(&e),
-            },
-            "--label" => match value("--label") {
-                Ok(v) => label = v,
-                Err(e) => return usage_error(&e),
-            },
-            "--out" => match value("--out") {
-                Ok(v) => out = Some(PathBuf::from(v)),
                 Err(e) => return usage_error(&e),
             },
             "--requests" | "--connections" | "--transitions" | "--replicas" => {
@@ -186,24 +170,6 @@ fn main() -> ExitCode {
         outcome.p50_us,
         outcome.p99_us
     );
-
-    if let Some(out) = out {
-        let mut report = BenchReport::new(&label);
-        if config.dfs {
-            report.push("serve.dfs_qps", outcome.qps, "req/s", true);
-            report.push("serve.dfs_p50_us", outcome.p50_us, "us", false);
-            report.push("serve.dfs_p99_us", outcome.p99_us, "us", false);
-        } else {
-            report.push("serve.qps", outcome.qps, "req/s", true);
-            report.push("serve.p50_us", outcome.p50_us, "us", false);
-            report.push("serve.p99_us", outcome.p99_us, "us", false);
-        }
-        if let Err(e) = report.save(&out) {
-            eprintln!("serve_load: cannot write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {} (label {label:?})", out.display());
-    }
 
     if expect_clean && (outcome.shed > 0 || outcome.errors > 0) {
         eprintln!(

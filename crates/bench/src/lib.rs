@@ -8,16 +8,14 @@
 //! * [`study::Study`] — workload construction and per-condition DTA for
 //!   all four FUs;
 //! * [`models`] — model training and the Table III / Table IV pipelines;
-//! * [`table`] — plain-text table rendering;
-//! * [`baseline`] + [`suite`] — the `bench_track`/`bench_compare`
-//!   benchmark-tracking subsystem (persisted `tevot-bench/1` baselines
-//!   and the regression gate).
+//! * [`table`] — plain-text table rendering.
+//!
+//! Performance is measured by the repository benchmark in `perfbench/`
+//! (declared in `BENCHMARK.json`), not by this crate.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod models;
 pub mod study;
-pub mod suite;
 pub mod table;

@@ -197,8 +197,7 @@ impl TerBased {
     /// periods outside the calibrated range clamp to the nearest end of
     /// the curve. Guardband sweeps that query between calibration points
     /// therefore see a piecewise-linear TER curve instead of the
-    /// staircase artifacts the old nearest-point snap produced (still
-    /// available as [`ter_nearest`](Self::ter_nearest)). Off-grid
+    /// staircase artifacts a nearest-point snap would produce. Off-grid
     /// conditions answer from the nearest calibrated condition (see
     /// `rates_for`).
     pub fn ter(&self, cond: OperatingCondition, clock_ps: u64) -> f64 {
@@ -213,19 +212,6 @@ impl TerBased {
                 r0 + (r1 - r0) * (clock_ps - p0) as f64 / (p1 - p0) as f64
             }
         }
-    }
-
-    /// The raw nearest-point lookup: the TER measured at the calibrated
-    /// clock period closest to `clock_ps` (ties resolve to the faster
-    /// period). This is the pre-interpolation behaviour, kept for
-    /// callers that want the measured rate of an actual calibration
-    /// point rather than an interpolated estimate.
-    pub fn ter_nearest(&self, cond: OperatingCondition, clock_ps: u64) -> f64 {
-        self.rates_for(cond)
-            .iter()
-            .min_by_key(|(p, _)| p.abs_diff(clock_ps))
-            .expect("calibration has at least one clock")
-            .1
     }
 }
 
@@ -335,6 +321,10 @@ mod tests {
         let cs = chars();
         let cond = cs[0].condition();
         let tb = TerBased::calibrate(&cs, 3);
+        // Exact calibrated periods answer with their measured rate.
+        for (i, &p) in cs[0].clock_periods_ps().iter().enumerate() {
+            assert_eq!(tb.ter(cond, p), cs[0].timing_error_rate(i));
+        }
         // Pick two adjacent calibrated periods with distinct rates (the
         // speedup sweep is monotone, so some pair must differ unless the
         // whole curve is flat).
@@ -343,8 +333,6 @@ mod tests {
         for pair in periods.windows(2) {
             let (p0, p1) = (pair[0], pair[1]);
             let (r0, r1) = (tb.ter(cond, p0), tb.ter(cond, p1));
-            // Exact calibrated periods answer exactly.
-            assert_eq!(r0, tb.ter_nearest(cond, p0));
             if p1 - p0 < 2 {
                 continue;
             }
@@ -363,27 +351,6 @@ mod tests {
         let (min_p, max_p) = (periods[0], periods[periods.len() - 1]);
         assert_eq!(tb.ter(cond, min_p / 2), tb.ter(cond, min_p));
         assert_eq!(tb.ter(cond, max_p + 10_000), tb.ter(cond, max_p));
-    }
-
-    #[test]
-    fn ter_nearest_snaps_where_interpolation_blends() {
-        let cs = chars();
-        let cond = cs[0].condition();
-        let tb = TerBased::calibrate(&cs, 5);
-        let mut periods: Vec<u64> = cs[0].clock_periods_ps().to_vec();
-        periods.sort_unstable();
-        // Find an adjacent pair with distinct rates; just past the
-        // midpoint the nearest lookup snaps to one endpoint while the
-        // interpolated value sits strictly between.
-        let pair = periods
-            .windows(2)
-            .find(|w| w[1] - w[0] >= 4 && tb.ter(cond, w[0]) != tb.ter(cond, w[1]))
-            .expect("speedup sweep has adjacent periods with distinct rates");
-        let probe = pair[0] + (pair[1] - pair[0]) * 3 / 4;
-        assert_eq!(tb.ter_nearest(cond, probe), tb.ter(cond, pair[1]));
-        let blended = tb.ter(cond, probe);
-        let (r0, r1) = (tb.ter(cond, pair[0]), tb.ter(cond, pair[1]));
-        assert!(blended > r0.min(r1) && blended < r0.max(r1));
     }
 
     #[test]

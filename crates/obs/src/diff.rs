@@ -230,11 +230,11 @@ fn section(out: &mut String, title: &str, rows: &[(String, Cell, Cell)]) {
     }
 }
 
-/// Renders one self-time delta table (the `tevot-prof/1` renderer,
-/// shared with `bench_compare`'s regression summaries): rows are keyed
-/// by span path, valued in whatever unit the caller supplies, sorted by
-/// absolute delta descending and truncated to `limit`.
-pub fn render_self_time_delta(
+/// Renders one self-time delta table over two `tevot-prof/1` profiles:
+/// rows are keyed by span path, valued in whatever unit the caller
+/// supplies, sorted by absolute delta descending and truncated to
+/// `limit`.
+fn render_self_time_delta(
     title: &str,
     a: &[(String, f64)],
     b: &[(String, f64)],

@@ -16,6 +16,7 @@ use tevot::workload::random_workload;
 use tevot::{build_delay_dataset, FeatureEncoding, TevotModel, TevotParams};
 use tevot_netlist::fu::FunctionalUnit;
 use tevot_obs::json::{self, Json};
+use tevot_serve::loadgen::{self, LoadConfig};
 use tevot_serve::{ServeConfig, Server, WatchConfig, DEFAULT_MODEL};
 use tevot_timing::{ClockSpeedup, OperatingCondition};
 
@@ -193,6 +194,28 @@ fn dfs_endpoint_serves_recommendations_and_taxonomy_errors() {
     assert_eq!(doc.get("kind").and_then(Json::as_str), Some("corrupt"));
     assert!(doc.get("request_id").and_then(Json::as_u64).unwrap() > 0);
 
+    server.shutdown();
+}
+
+/// The load generator against a live in-process server, on both data
+/// paths: with fewer connections than the admission bound, every request
+/// must be answered 200 — nothing shed, nothing failed.
+#[test]
+fn loadgen_runs_clean_against_a_live_server() {
+    let server = start_with_model(ServeConfig::default(), 5);
+    for dfs in [false, true] {
+        let config = LoadConfig {
+            addr: server.local_addr().to_string(),
+            requests: 200,
+            connections: 4,
+            dfs,
+            ..LoadConfig::default()
+        };
+        let outcome = loadgen::run(&config);
+        assert_eq!(outcome.ok, outcome.requests, "dfs={dfs}: {outcome:?}");
+        assert_eq!((outcome.shed, outcome.errors), (0, 0), "dfs={dfs}: {outcome:?}");
+        assert!(outcome.qps > 0.0 && outcome.p50_us > 0.0, "dfs={dfs}: {outcome:?}");
+    }
     server.shutdown();
 }
 
