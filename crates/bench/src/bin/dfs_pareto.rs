@@ -81,7 +81,7 @@ fn main() {
     let grid = ConditionGrid::new(vec![0.81, 0.9, 1.0], vec![0.0, 25.0, 100.0]);
     let corpus =
         synthetic_corpus(config.corpus_images.max(2), config.image_size, config.image_size, 11);
-    let app_ops = config.train_app.min(300).max(100);
+    let app_ops = config.train_app.clamp(100, 300);
     let sobel = profile_application(Application::Sobel, &corpus, app_ops + config.test_len);
     let gauss = profile_application(Application::Gaussian, &corpus, app_ops + config.test_len);
     let train = random_workload(fu, config.train_random.min(700), config.seed)

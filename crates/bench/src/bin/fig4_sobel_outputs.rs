@@ -65,7 +65,7 @@ fn main() -> Result<(), String> {
     let truth_rates = ground_truth_rates(&study, Application::Sobel, cond_idx, speed_idx);
     let sim = inject_and_score(Application::Sobel, corpus, truth_rates, seed);
     let res = fs::write(out_dir.join("ground_truth.pgm"), {
-        let mut faulty = tevot_imgproc::FaultyArithmetic::new(truth_rates, seed ^ (0 << 17));
+        let mut faulty = tevot_imgproc::FaultyArithmetic::new(truth_rates, seed);
         Application::Sobel.run(image, &mut faulty).to_pgm()
     });
     write_or_err(res, &out_dir.join("ground_truth.pgm"))?;

@@ -7,15 +7,12 @@
 //!   on a loopback port.
 //! * **Self-hosted** (`--model-file model.tevot`): loads the model,
 //!   starts an in-process server on `127.0.0.1:0`, drives it, and shuts
-//!   it down — a one-command serving benchmark. With `--replicas N` the
-//!   self-hosted server becomes a tevot-fleet consistent-hash router
-//!   over N in-process replicas, so the whole replicated data path
-//!   (placement, failover, health loop) is benchmarked end to end.
+//!   it down — a one-command serving benchmark.
 //!
 //! ```text
 //! serve_load (--addr host:port | --model-file model.tevot)
 //!            [--requests N] [--connections N] [--transitions N]
-//!            [--replicas N] [--dfs] [--expect-clean] [--max-shed N]
+//!            [--dfs] [--expect-clean]
 //! ```
 //!
 //! `--dfs` drives `POST /dfs` (clock recommendations) instead of
@@ -23,22 +20,17 @@
 //! outcome, throughput, and client-side p50/p99 latency.
 //!
 //! `--expect-clean` exits 1 if any request was shed or failed — the CI
-//! smoke assertion. `--max-shed N` is the chaos-tolerant variant: errors
-//! must still be zero, but up to N shed responses are allowed (a replica
-//! kill under load legitimately sheds a bounded burst while the router
-//! ejects the corpse).
+//! smoke assertion.
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use tevot_fleet::{InProcessLauncher, Router, RouterConfig};
 use tevot_serve::loadgen::{run, LoadConfig};
 use tevot_serve::{ServeConfig, Server, DEFAULT_MODEL};
 
 const USAGE: &str = "usage: serve_load (--addr host:port | --model-file model.tevot) \
                      [--requests N] [--connections N] [--transitions N] \
-                     [--replicas N] [--dfs] [--expect-clean] [--max-shed N]";
+                     [--dfs] [--expect-clean]";
 
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("serve_load: {message}\n{USAGE}");
@@ -50,8 +42,6 @@ fn main() -> ExitCode {
     let mut model_file = None;
     let mut config = LoadConfig::default();
     let mut expect_clean = false;
-    let mut max_shed: Option<usize> = None;
-    let mut replicas = 1usize;
 
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -65,7 +55,7 @@ fn main() -> ExitCode {
                 Ok(v) => model_file = Some(v),
                 Err(e) => return usage_error(&e),
             },
-            "--requests" | "--connections" | "--transitions" | "--replicas" => {
+            "--requests" | "--connections" | "--transitions" => {
                 let parsed = match value(&arg).map(|v| v.parse::<usize>()) {
                     Ok(Ok(n)) if n > 0 => n,
                     _ => return usage_error(&format!("{arg} needs a positive integer")),
@@ -73,15 +63,8 @@ fn main() -> ExitCode {
                 match arg.as_str() {
                     "--requests" => config.requests = parsed,
                     "--connections" => config.connections = parsed,
-                    "--transitions" => config.transitions = parsed,
-                    _ => replicas = parsed,
+                    _ => config.transitions = parsed,
                 }
-            }
-            "--max-shed" => {
-                max_shed = match value("--max-shed").map(|v| v.parse::<usize>()) {
-                    Ok(Ok(n)) => Some(n),
-                    _ => return usage_error("--max-shed needs a non-negative integer"),
-                };
             }
             "--expect-clean" => expect_clean = true,
             "--dfs" => config.dfs = true,
@@ -93,20 +76,13 @@ fn main() -> ExitCode {
         }
     }
 
-    // Self-hosted mode keeps the server (or replicated router) alive for
-    // the duration of the run; external mode leaves lifecycle to the
-    // caller.
+    // Self-hosted mode keeps the server alive for the duration of the
+    // run; external mode leaves lifecycle to the caller.
     let mut server: Option<Server> = None;
-    let mut router: Option<Router> = None;
     match (&addr, &model_file) {
         (Some(_), Some(_)) => return usage_error("--addr and --model-file are mutually exclusive"),
         (None, None) => return usage_error("need --addr or --model-file"),
-        (Some(a), None) => {
-            if replicas > 1 {
-                return usage_error("--replicas needs --model-file (self-hosted mode)");
-            }
-            config.addr = a.clone();
-        }
+        (Some(a), None) => config.addr = a.clone(),
         (None, Some(path)) => {
             let model = match tevot::TevotModel::load_path(Path::new(path)) {
                 Ok(m) => m,
@@ -115,29 +91,15 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            if replicas > 1 {
-                let router_config = RouterConfig { replicas, ..RouterConfig::default() };
-                match Router::start(router_config, Arc::new(InProcessLauncher { model })) {
-                    Ok(r) => {
-                        config.addr = r.local_addr().to_string();
-                        router = Some(r);
-                    }
-                    Err(e) => {
-                        eprintln!("serve_load: cannot start replicated fleet: {e}");
-                        return ExitCode::from(2);
-                    }
+            match Server::start(ServeConfig::default()) {
+                Ok(s) => {
+                    s.state().registry.insert(DEFAULT_MODEL, model);
+                    config.addr = s.local_addr().to_string();
+                    server = Some(s);
                 }
-            } else {
-                match Server::start(ServeConfig::default()) {
-                    Ok(s) => {
-                        s.state().registry.insert(DEFAULT_MODEL, model);
-                        config.addr = s.local_addr().to_string();
-                        server = Some(s);
-                    }
-                    Err(e) => {
-                        eprintln!("serve_load: cannot start server: {e}");
-                        return ExitCode::from(2);
-                    }
+                Err(e) => {
+                    eprintln!("serve_load: cannot start server: {e}");
+                    return ExitCode::from(2);
                 }
             }
         }
@@ -147,18 +109,14 @@ fn main() -> ExitCode {
     if let Some(server) = server {
         server.shutdown();
     }
-    if let Some(mut router) = router {
-        router.shutdown();
-    }
 
     println!(
-        "serve_load: {} {} requests to {} over {} connections ({} transitions each{})",
+        "serve_load: {} {} requests to {} over {} connections ({} transitions each)",
         outcome.requests,
         if config.dfs { "/dfs" } else { "/predict" },
         config.addr,
         config.connections,
-        config.transitions,
-        if replicas > 1 { format!(", {replicas} replicas") } else { String::new() }
+        config.transitions
     );
     println!(
         "  ok {}  shed {}  errors {}  reconnects {}  |  {:.0} req/s  p50 {:.0} us  p99 {:.0} us",
@@ -177,15 +135,6 @@ fn main() -> ExitCode {
             outcome.shed, outcome.errors
         );
         return ExitCode::from(1);
-    }
-    if let Some(budget) = max_shed {
-        if outcome.errors > 0 || outcome.shed > budget {
-            eprintln!(
-                "serve_load: --max-shed {budget} exceeded: {} shed, {} errors",
-                outcome.shed, outcome.errors
-            );
-            return ExitCode::from(1);
-        }
     }
     ExitCode::SUCCESS
 }

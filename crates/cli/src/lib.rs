@@ -76,7 +76,6 @@ tevot — timing-error modeling of functional units (TEVoT, DAC 2020)
                      [--vectors N] [--trees N] [--seed S] [--no-history]
                      [--resume <dir>] [--deadline-ms N]
                      [--engine event|levelized]
-                     [--workers N] [--lease-ms N]
   tevot predict      --model model.tevot --voltage <V> --temperature <C>
                      --clock-ps <N> --a <u32> --b <u32>
                      [--prev-a <u32>] [--prev-b <u32>]
@@ -94,7 +93,6 @@ tevot — timing-error modeling of functional units (TEVoT, DAC 2020)
                      [--max-queue N] [--batch N] [--batch-wait-ms N]
                      [--slo spec,spec] [--no-watch] [--watch-resolution-ms N]
                      [--watch-capacity N] [--shadow-every N] [--psi-alert X]
-                     [--replicas N] [--port-file <path>]
   tevot top          [--addr <host:port>] [--interval-ms N] [--once]
   tevot prom-check   [--addr <host:port>]
   tevot obs-diff     <a.json> <b.json>      (two --metrics or profile files)
@@ -136,21 +134,6 @@ train resilience:
                        the resumed model is bit-identical
   --deadline-ms <N>    cancel the checkpointed sweep gracefully (exit 6)
                        once the wall-clock budget elapses
-
-fleet (DESIGN.md §17; fault-tolerant scale-out over loopback HTTP):
-  train --workers <N>  shard the condition grid across N worker
-                       processes with lease-based work stealing; a killed
-                       or crashed worker's units are reassigned and the
-                       model is bit-identical to a single-process run
-  train --lease-ms <N> heartbeat grace before a silent worker's units
-                       are reassigned (default 10000)
-  serve --replicas <N> run N serve replicas behind a consistent-hash
-                       router: health-checked ejection + respawn +
-                       re-admission, ring failover with bounded retry,
-                       rolling model deploys via POST /models/<name>;
-                       GET /fleet/status shows replica pids and health
-  serve --port-file <path>  atomically publish the bound address (useful
-                       with --addr host:0)
 
 exit codes: 0 ok | 1 internal | 2 usage | 3 i/o | 4 corrupt data |
             5 parse | 6 cancelled
@@ -194,7 +177,6 @@ pub fn run(argv: Vec<String>) -> Result<(), Box<dyn Error>> {
         "ter" => cmd_ter(&args),
         "dfs" => cmd_dfs(&args),
         "serve" => cmd_serve(&args),
-        "fleet-worker" => cmd_fleet_worker(&args),
         "top" => cmd_top(&args),
         "prom-check" => cmd_prom_check(&args),
         "obs-diff" => cmd_obs_diff(&args),
@@ -617,12 +599,7 @@ fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
     let resume = args.get("resume").map(str::to_owned);
     let deadline_ms: Option<u64> = args.get_parsed("deadline-ms")?;
     let engine = engine_from_args(args)?;
-    let workers: usize = args.get_or("workers", 1)?;
-    let lease_ms: u64 = args.get_or("lease-ms", 10_000)?;
     args.finish()?;
-    if lease_ms == 0 {
-        return Err(ArgError("--lease-ms must be at least 1".into()).into());
-    }
 
     let encoding =
         if history { FeatureEncoding::with_history() } else { FeatureEncoding::without_history() };
@@ -634,51 +611,22 @@ fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
     let token = CancelToken::new();
     let _watchdog =
         deadline_ms.map(|ms| Watchdog::deadline(&token, std::time::Duration::from_millis(ms)));
-    let chars = if workers > 1 {
-        // Fleet sweep: shard the grid across worker processes over the
-        // tevot-fleet lease protocol. The checkpoint directory is the
-        // work journal; without --resume a private one is used and
-        // cleaned up on success. Output is bit-identical to a serial
-        // sweep at any worker count (DESIGN.md §17).
-        let (ckpt_dir, ephemeral) = match &resume {
-            Some(dir) => (std::path::PathBuf::from(dir), false),
-            None => {
-                (std::env::temp_dir().join(format!("tevot_fleet_{}", std::process::id())), true)
-            }
-        };
-        let mut spec = tevot_fleet::FleetSweepSpec::new(fu, vectors, seed, &ckpt_dir);
-        spec.engine = engine;
-        spec.conditions = conditions.clone();
-        spec.workers = workers;
-        spec.lease = std::time::Duration::from_millis(lease_ms);
-        spec.max_respawns = 2 * workers;
-        spec.mode = tevot_fleet::WorkerMode::Process {
-            program: worker_program()?,
-            args: vec!["fleet-worker".into()],
-        };
-        let chars = tevot_fleet::run_sweep(&spec, &token)?;
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let chars = match &resume {
+        // Checkpointed sweep: each completed condition is journaled
+        // to an atomic shard in <dir> and skipped on the next run.
+        // The resumed output is bit-identical to an uninterrupted
+        // sweep.
+        Some(dir) => {
+            let ckpt = CheckpointDir::open(dir.as_str()).map_err(Box::new)?;
+            characterizer.characterize_sweep_ckpt(
+                &conditions,
+                &work,
+                &ClockSpeedup::PAPER,
+                &ckpt,
+                &token,
+            )?
         }
-        chars
-    } else {
-        match &resume {
-            // Checkpointed sweep: each completed condition is journaled
-            // to an atomic shard in <dir> and skipped on the next run.
-            // The resumed output is bit-identical to an uninterrupted
-            // sweep.
-            Some(dir) => {
-                let ckpt = CheckpointDir::open(dir.as_str()).map_err(Box::new)?;
-                characterizer.characterize_sweep_ckpt(
-                    &conditions,
-                    &work,
-                    &ClockSpeedup::PAPER,
-                    &ckpt,
-                    &token,
-                )?
-            }
-            None => characterizer.characterize_sweep(&conditions, &work, &ClockSpeedup::PAPER),
-        }
+        None => characterizer.characterize_sweep(&conditions, &work, &ClockSpeedup::PAPER),
     };
     let runs: Vec<_> = chars.iter().map(|c| (&work, c)).collect();
     let data = build_delay_dataset(encoding, &runs);
@@ -718,27 +666,6 @@ fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
         grid.len(),
         data.len(),
     );
-    Ok(())
-}
-
-/// The executable fleet children are spawned from: the `TEVOT_BIN` env
-/// override (tests point it at the freshly built binary) or this
-/// process's own image.
-fn worker_program() -> Result<std::path::PathBuf, Box<dyn Error>> {
-    match std::env::var_os("TEVOT_BIN") {
-        Some(path) => Ok(std::path::PathBuf::from(path)),
-        None => std::env::current_exe()
-            .map_err(|e| TevotError::from(e).context("locate the tevot executable").into()),
-    }
-}
-
-/// The hidden `fleet-worker` subcommand: one sweep worker, spawned by
-/// the coordinator, never by hand.
-fn cmd_fleet_worker(args: &Args) -> Result<(), Box<dyn Error>> {
-    let coordinator = args.require("coordinator")?.to_owned();
-    let worker_id = args.require("worker-id")?.to_owned();
-    args.finish()?;
-    tevot_fleet::worker::run(&coordinator, &worker_id)?;
     Ok(())
 }
 
@@ -845,13 +772,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         None => Vec::new(),
     };
     let shadow_fu = args.get("fu").map(parse_fu).transpose()?.unwrap_or(FunctionalUnit::IntAdd);
-    let replicas: usize = args.get_or("replicas", 1)?;
-    let port_file = args.get("port-file").map(str::to_owned);
-    // Hidden, launcher-owned flag: arm the orphan watchdog against this
-    // parent pid. A replica whose router is SIGKILLed never receives a
-    // shutdown (the router's Drop can't run), so it watches for
-    // reparenting instead of trusting the parent to clean up.
-    let parent_pid: Option<u32> = args.get_parsed("parent-pid")?;
     args.finish()?;
     if max_queue == 0 {
         return Err(ArgError("--max-queue must be at least 1".into()).into());
@@ -867,51 +787,9 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
 
     // Load (and validate) the model before binding the port, so a bad
     // model path fails fast with the taxonomy exit code instead of
-    // leaving a listener that 404s everything. The replicated parent
-    // validates too — better one early exit than N replica corpses.
+    // leaving a listener that 404s everything.
     let model = load_model(&model_path)?;
 
-    if replicas > 1 {
-        // Replicated serving: this process becomes the consistent-hash
-        // router and each replica is a plain single-replica `tevot
-        // serve` child on an ephemeral port (DESIGN.md §17).
-        let mut base_args = vec!["--model".to_owned(), model_path.clone()];
-        for (flag, value) in [
-            ("--max-queue", max_queue.to_string()),
-            ("--batch", batch.to_string()),
-            ("--batch-wait-ms", batch_wait_ms.to_string()),
-        ] {
-            base_args.push(flag.to_owned());
-            base_args.push(value);
-        }
-        if no_watch {
-            base_args.push("--no-watch".to_owned());
-        }
-        let launcher = tevot_fleet::ProcessReplicaLauncher {
-            program: worker_program()?,
-            base_args,
-            port_dir: std::env::temp_dir().join(format!("tevot_replicas_{}", std::process::id())),
-        };
-        let config = tevot_fleet::RouterConfig {
-            addr: addr.clone(),
-            replicas,
-            ..tevot_fleet::RouterConfig::default()
-        };
-        let mut router = tevot_fleet::Router::start(config, std::sync::Arc::new(launcher))
-            .map_err(|e| {
-                TevotError::from(e).context(format!("start replicated serve on {addr}"))
-            })?;
-        if let Some(path) = &port_file {
-            write_port_file(path, &router.local_addr().to_string())?;
-        }
-        outln!(
-            "routing {model_path} across {replicas} replicas on http://{}  (ring-hash placement, \
-             health-checked failover; GET /fleet/status for the fleet view)",
-            router.local_addr(),
-        );
-        router.join();
-        return Ok(());
-    }
     let watch = if no_watch {
         None
     } else {
@@ -937,12 +815,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let server = tevot_serve::Server::start(config)
         .map_err(|e| TevotError::from(e).context(format!("cannot bind {addr}")))?;
     server.state().registry.insert(tevot_serve::DEFAULT_MODEL, model);
-    if let Some(path) = &port_file {
-        // Published only after the bind: whoever polls this file (the
-        // replica launcher, a test harness) sees either nothing or a
-        // connectable address.
-        write_port_file(path, &server.local_addr().to_string())?;
-    }
     outln!(
         "serving {model_path} as {:?} on http://{}  (queue {max_queue}, batch {batch}, \
          wait {batch_wait_ms} ms, watch {})",
@@ -950,36 +822,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         server.local_addr(),
         if no_watch { "off".to_owned() } else { format!("every {watch_resolution_ms} ms") },
     );
-    spawn_orphan_watchdog(parent_pid);
     server.join();
-    Ok(())
-}
-
-/// Exits this process once it is no longer a child of `expected` — a
-/// replica's guard against leaking when its router dies ungracefully
-/// (SIGKILL skips every Drop; the orphan is reparented to init and
-/// would otherwise serve forever on a port nobody remembers).
-#[cfg(unix)]
-fn spawn_orphan_watchdog(parent_pid: Option<u32>) {
-    let Some(expected) = parent_pid else { return };
-    std::thread::spawn(move || loop {
-        if std::os::unix::process::parent_id() != expected {
-            tevot_obs::warn!("serve: parent process {expected} is gone; exiting");
-            std::process::exit(0);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(500));
-    });
-}
-
-#[cfg(not(unix))]
-fn spawn_orphan_watchdog(_parent_pid: Option<u32>) {}
-
-/// Atomically publishes a bound address to `path` (tmp + rename), so a
-/// polling reader never observes a half-written file.
-fn write_port_file(path: &str, addr: &str) -> Result<(), Box<dyn Error>> {
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    at_path(std::fs::write(&tmp, format!("{addr}\n")), "write port file", path)?;
-    at_path(std::fs::rename(&tmp, path), "publish port file", path)?;
     Ok(())
 }
 

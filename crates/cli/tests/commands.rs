@@ -251,12 +251,21 @@ fn train_resume_is_bit_identical_and_deadline_cancels() {
     let b = std::fs::read(&resumed).unwrap();
     assert!(!a.is_empty() && a == b, "resumed model must match the plain run byte for byte");
 
+    // A shard that lost its tail, as a crash mid-write leaves it, is
+    // detected and recomputed, and the model is still bit-identical.
+    let victim = ckpt.join("cond-0.ckpt");
+    let bytes = std::fs::read(&victim).expect("checkpoint must contain cond-0.ckpt");
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+    tevot_cli::run(base(&resumed, &["--resume", &ckpt_flag])).unwrap();
+    let c = std::fs::read(&resumed).unwrap();
+    assert!(a == c, "resume over a truncated shard must match the plain run byte for byte");
+
     // A checkpoint directory from a different run configuration is
-    // refused rather than silently mixed in.
-    let e = tevot_cli::run(base(&resumed, &["--resume", &ckpt_flag, "--vectors", "121"]))
-        .map(|_| String::new())
-        .unwrap_err();
+    // refused as corrupt data (exit 4) rather than silently mixed in.
+    let e =
+        tevot_cli::run(base(&resumed, &["--resume", &ckpt_flag, "--vectors", "121"])).unwrap_err();
     assert!(e.to_string().contains("configuration"), "{e}");
+    assert_eq!(tevot_cli::exit_code_for(e.as_ref()), 4, "{e}");
 
     std::fs::remove_file(plain).ok();
     std::fs::remove_file(resumed).ok();

@@ -482,7 +482,7 @@ impl Characterizer {
     /// a sweep's output (unit, conditions, speedups, workload operands).
     /// Two sweeps share a checkpoint directory only when their
     /// fingerprints match.
-    pub fn sweep_fingerprint(
+    fn sweep_fingerprint(
         &self,
         conditions: &[OperatingCondition],
         workload: &Workload,
@@ -515,9 +515,9 @@ impl Characterizer {
     /// completed condition, and the resumed output is **bit-identical**
     /// to an uninterrupted sweep at any `--jobs` level.
     ///
-    /// The directory is bound to this sweep's
-    /// [fingerprint](Self::sweep_fingerprint) on first use; resuming
-    /// with a different unit, grid, speedup set, or workload is refused.
+    /// The directory is bound to a fingerprint of this sweep's
+    /// configuration on first use; resuming with a different unit, grid,
+    /// speedup set, or workload is refused.
     ///
     /// # Errors
     ///

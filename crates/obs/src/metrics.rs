@@ -259,30 +259,6 @@ pub static WATCH_SAMPLES: Counter = Counter::new("watch.samples");
 /// Served requests replayed through the simulator oracle for shadow
 /// scoring.
 pub static WATCH_SHADOW_REPLAYS: Counter = Counter::new("watch.shadow_replays");
-/// Worker processes (or threads) spawned by a fleet sweep coordinator,
-/// including replacements for dead workers.
-pub static FLEET_WORKERS_SPAWNED: Counter = Counter::new("fleet.workers_spawned");
-/// Work-unit leases granted to fleet sweep workers.
-pub static FLEET_LEASES_GRANTED: Counter = Counter::new("fleet.leases_granted");
-/// Work units put back on the queue after a worker died or its lease
-/// expired — the fleet's core recovery signal.
-pub static FLEET_REASSIGNED: Counter = Counter::new("fleet.reassigned");
-/// Heartbeats received by a fleet sweep coordinator.
-pub static FLEET_HEARTBEATS: Counter = Counter::new("fleet.heartbeats");
-/// Work units completed and journaled by fleet workers.
-pub static FLEET_UNITS_COMPLETED: Counter = Counter::new("fleet.units_completed");
-/// Requests forwarded by the replica router.
-pub static FLEET_ROUTED: Counter = Counter::new("fleet.routed");
-/// Forwards retried on the next ring node after a replica failed
-/// mid-exchange.
-pub static FLEET_FAILOVERS: Counter = Counter::new("fleet.failovers");
-/// Replicas ejected from the ring (failed health checks or transport
-/// errors).
-pub static FLEET_EJECTED: Counter = Counter::new("fleet.ejected");
-/// Replicas re-admitted to the ring after passing a health check.
-pub static FLEET_READMITTED: Counter = Counter::new("fleet.readmitted");
-/// Rolling hot-swap deploys completed across every replica.
-pub static FLEET_DEPLOYS: Counter = Counter::new("fleet.rolling_deploys");
 /// Stack snapshots taken by the `tevot-prof` sampler thread.
 pub static PROF_SAMPLES: Counter = Counter::new("prof.samples");
 /// Heap allocations observed by `TevotAlloc` while allocation profiling
@@ -321,7 +297,7 @@ pub static SERVE_BATCH_JOBS: Histogram =
 pub static SERVE_QUEUE_DEPTH: Histogram =
     Histogram::new("serve.queue_depth", &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
 
-static COUNTERS: [&Counter; 40] = [
+static COUNTERS: [&Counter; 30] = [
     &SIM_CYCLES,
     &SIM_EVENTS,
     &SIM_GATE_EVALS,
@@ -349,16 +325,6 @@ static COUNTERS: [&Counter; 40] = [
     &WATCH_ALERTS,
     &WATCH_SAMPLES,
     &WATCH_SHADOW_REPLAYS,
-    &FLEET_WORKERS_SPAWNED,
-    &FLEET_LEASES_GRANTED,
-    &FLEET_REASSIGNED,
-    &FLEET_HEARTBEATS,
-    &FLEET_UNITS_COMPLETED,
-    &FLEET_ROUTED,
-    &FLEET_FAILOVERS,
-    &FLEET_EJECTED,
-    &FLEET_READMITTED,
-    &FLEET_DEPLOYS,
     &PROF_SAMPLES,
     &ALLOC_ALLOCATIONS,
     &ALLOC_BYTES,

@@ -328,8 +328,13 @@ where
 mod tests {
     use super::*;
 
+    // Every test that runs `map*` holds a no-op failpoint scope: it takes
+    // the same exclusivity lock as the `par.task` fault test, so that
+    // test's armed site can never fire inside another test's region.
+
     #[test]
     fn ordered_results_match_serial() {
+        let _scope = tevot_resil::fail::scoped("");
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for jobs in [1, 2, 4, 16] {
@@ -339,6 +344,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _scope = tevot_resil::fail::scoped("");
         let empty: Vec<u32> = Vec::new();
         assert!(map_with(8, &empty, |&x| x).is_empty());
         assert_eq!(map_with(8, &[41u32], |&x| x + 1), vec![42]);
@@ -346,6 +352,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_items_is_fine() {
+        let _scope = tevot_resil::fail::scoped("");
         assert_eq!(map_with(64, &[1u8, 2, 3], |&x| x as u32), vec![1, 2, 3]);
     }
 
@@ -383,6 +390,7 @@ mod tests {
 
     #[test]
     fn task_counter_advances() {
+        let _scope = tevot_resil::fail::scoped("");
         let before = tevot_obs::metrics::PAR_TASKS.get();
         let _ = map_with(4, &[1u8, 2, 3, 4, 5], |&x| x);
         assert!(tevot_obs::metrics::PAR_TASKS.get() >= before + 5);
@@ -390,6 +398,7 @@ mod tests {
 
     #[test]
     fn cancellable_map_matches_serial_when_not_cancelled() {
+        let _scope = tevot_resil::fail::scoped("");
         let items: Vec<u64> = (0..101).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 7).collect();
         let token = CancelToken::new();
@@ -401,6 +410,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_short_circuits() {
+        let _scope = tevot_resil::fail::scoped("");
         let token = CancelToken::new();
         token.cancel();
         for jobs in [1, 4] {
@@ -411,6 +421,7 @@ mod tests {
 
     #[test]
     fn mid_run_cancellation_stops_claiming() {
+        let _scope = tevot_resil::fail::scoped("");
         let items: Vec<u32> = (0..10_000).collect();
         let token = CancelToken::new();
         let observed = AtomicUsize::new(0);
@@ -439,6 +450,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _scope = tevot_resil::fail::scoped("");
         let items: Vec<u32> = (0..16).collect();
         let caught = std::panic::catch_unwind(|| {
             map_with(4, &items, |&x| {

@@ -13,16 +13,12 @@
 //! ```text
 //! TEVOT_FAIL = spec *("," spec)
 //! spec       = site "=" action ["@" probability] ["#" skip]
-//! action     = "off" | "io" | "panic" | "kill"
+//! action     = "off" | "io" | "panic"
 //! ```
 //!
 //! * `io` — the site returns an injected [`std::io::Error`] (wrapping
 //!   [`InjectedFailure`], so retries and tests can recognize it).
 //! * `panic` — the site panics, simulating a hard mid-operation crash.
-//! * `kill` — the site aborts the whole process (`SIGABRT`), simulating
-//!   a machine-level death: no unwinding, no destructors, no flushing.
-//!   This is how `tevot-fleet` chaos runs kill worker processes
-//!   mid-sweep (site `fleet.task`); never use it in in-process tests.
 //! * `probability` — chance in `[0, 1]` that an evaluation fires
 //!   (default 1). Draws come from a per-site deterministic generator
 //!   seeded by `TEVOT_FAIL_SEED` (default 0), so a chaos run is exactly
@@ -48,8 +44,6 @@ pub enum FailAction {
     Io,
     /// Panic, simulating a crash at the site.
     Panic,
-    /// Abort the whole process, simulating a kill -9 / machine death.
-    Kill,
 }
 
 #[derive(Debug)]
@@ -148,7 +142,6 @@ fn parse_spec(spec: &str) -> Result<HashMap<String, Site>, String> {
             "off" => FailAction::Off,
             "io" => FailAction::Io,
             "panic" => FailAction::Panic,
-            "kill" => FailAction::Kill,
             other => return Err(format!("{part:?}: unknown action {other:?}")),
         };
         sites.insert(
@@ -259,13 +252,6 @@ fn eval_slow(site: &str) -> Result<(), io::Error> {
             tevot_obs::warn!("failpoint {site}: injected panic");
             panic!("failpoint {site}: injected panic");
         }
-        FailAction::Kill => {
-            // Deliberately no unwinding and no cleanup: the fleet chaos
-            // harness wants the worker to vanish exactly as a SIGKILL or
-            // power loss would leave it.
-            tevot_obs::warn!("failpoint {site}: killing the process");
-            std::process::abort();
-        }
     }
 }
 
@@ -375,15 +361,6 @@ mod tests {
         // Outside the scope the site is back to whatever the environment
         // says (no env in tests: disabled), and eval is safe to call.
         let _ = eval("t.outer");
-    }
-
-    #[test]
-    fn kill_action_parses_but_is_never_evaluated_here() {
-        // Evaluating a firing `kill` site aborts the process, so the
-        // test only checks the grammar and that skips hold it back.
-        let _scope = scoped("t.kill=kill#1000000");
-        assert!(is_enabled());
-        assert!(eval("t.kill").is_ok(), "still inside the skip budget");
     }
 
     #[test]

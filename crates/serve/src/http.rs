@@ -276,34 +276,10 @@ pub fn write_response(stream: &mut impl Write, response: &Response, close: bool)
 /// Propagates connect/read failures and malformed responses as
 /// [`io::Error`].
 pub fn get(addr: &str, path: &str) -> io::Result<(u16, String)> {
+    use std::io::Read;
     let mut stream = std::net::TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
     write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    read_oneshot_response(stream)
-}
-
-/// A one-shot blocking `POST` with a JSON body; same scope and error
-/// contract as [`get`]. This is the client side of the fleet wire
-/// protocol (lease, complete, heartbeat).
-///
-/// # Errors
-///
-/// Propagates connect/read failures and malformed responses as
-/// [`io::Error`].
-pub fn post(addr: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    read_oneshot_response(stream)
-}
-
-fn read_oneshot_response(mut stream: std::net::TcpStream) -> io::Result<(u16, String)> {
-    use std::io::Read;
     stream.flush()?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

@@ -59,7 +59,7 @@ pub struct LoadReport {
     /// Any other non-200 response or transport failure.
     pub errors: usize,
     /// Connections re-established after a transport failure (a reset or
-    /// short read mid-exchange, e.g. a replica dying under load).
+    /// short read mid-exchange, e.g. a server restarting under load).
     pub reconnects: usize,
     /// Successful requests per second of wall-clock time.
     pub qps: f64,
@@ -136,9 +136,9 @@ fn read_status(reader: &mut impl BufRead) -> std::io::Result<u16> {
     Ok(status)
 }
 
-/// Initial-connect and reconnect retry budget: a replica that started
-/// moments ago may not be listening yet, and a router mid-failover may
-/// refuse briefly.
+/// Initial-connect and reconnect retry budget: a server that started
+/// moments ago may not be listening yet, and a restarting one may refuse
+/// briefly.
 const CONNECT_ATTEMPTS: usize = 20;
 /// Base reconnect backoff; doubles per attempt up to 16× the base.
 const CONNECT_BACKOFF_MS: u64 = 25;
@@ -197,7 +197,7 @@ fn exchange(
 /// One client connection's share of the run.
 ///
 /// Transport failures (resets, short reads) are recorded as errors and
-/// answered with a reconnect, so a replica dying mid-run costs exactly
+/// answered with a reconnect, so a server dying mid-run costs exactly
 /// the requests that were in flight — not the rest of this connection's
 /// range.
 fn client(config: &LoadConfig, indices: std::ops::Range<usize>) -> Tally {

@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(fired[0].series, "serve.queue_depth");
         // >= rather than ==: the counter is global and other tests may
         // alert concurrently.
-        assert!(WATCH_ALERTS.get() >= before + 1);
+        assert!(WATCH_ALERTS.get() > before);
         // Latched: a second hot tick does not re-alert.
         assert!(watch.tick(10_100, 5, None).is_empty());
         assert_eq!(watch.alerts().len(), 1);

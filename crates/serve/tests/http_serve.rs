@@ -430,7 +430,7 @@ fn hot_swap_under_concurrent_traffic_is_never_torn_and_never_drops() {
             let mut client = Client::connect(addr);
             let mut swaps = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let path = if swaps % 2 == 0 { &path_b } else { &path_a };
+                let path = if swaps.is_multiple_of(2) { &path_b } else { &path_a };
                 let body = format!(r#"{{"path":{}}}"#, Json::from(path.to_str().unwrap()));
                 let reply = client.request("POST", "/models/default", &body);
                 assert_eq!(reply.status, 200, "swap failed: {}", reply.body);

@@ -198,7 +198,7 @@ mod tests {
     fn many_signals_roundtrip() {
         let mut w = VcdWriter::new("wide");
         let ids: Vec<_> = (0..200).map(|i| w.declare_wire(format!("s{i}"))).collect();
-        w.begin_dump(&vec![false; 200]);
+        w.begin_dump(&[false; 200]);
         for (i, &id) in ids.iter().enumerate() {
             w.change(10 + i as u64, id, true);
         }

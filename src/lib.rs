@@ -25,9 +25,6 @@
 //! * [`resil`] — crash-safe resumable checkpoints, failpoint fault
 //!   injection (`TEVOT_FAIL`), the workspace error taxonomy, and
 //!   cooperative cancellation.
-//! * [`fleet`] — fault-tolerant multi-process scale-out: lease-sharded
-//!   sweeps with bit-identical recovery from killed workers, and
-//!   consistent-hash replicated serving with health-checked failover.
 //!
 //! # Quick start
 //!
@@ -45,7 +42,6 @@
 //! ```
 
 pub use tevot as core;
-pub use tevot_fleet as fleet;
 pub use tevot_imgproc as imgproc;
 pub use tevot_ml as ml;
 pub use tevot_netlist as netlist;
