@@ -85,11 +85,14 @@ impl GradientBoostedRegressor {
         let mut prediction = vec![base; n];
         let sample_len = ((n as f64 * params.subsample).round() as usize).clamp(1, n);
         let mut indices: Vec<u32> = (0..n as u32).collect();
+        let mut residual = vec![0.0; n];
         let mut trees = Vec::with_capacity(params.num_rounds);
         for _ in 0..params.num_rounds {
             tevot_obs::metrics::ML_TRAIN_ITERATIONS.incr();
             // Residuals are the squared-loss negative gradients.
-            let residual = data.clone_with_labels(|i| data.label(i) - prediction[i]);
+            for ((r, &label), &p) in residual.iter_mut().zip(data.labels()).zip(&prediction) {
+                *r = label - p;
+            }
             if params.subsample < 1.0 {
                 // Partial Fisher-Yates for a fresh subsample each round.
                 for i in 0..sample_len {
@@ -98,11 +101,11 @@ impl GradientBoostedRegressor {
                 }
             }
             let tree = DecisionTree::fit_with_table(
+                &table,
                 &residual,
                 &indices[..sample_len],
                 Task::Regression,
                 &params.tree,
-                &table,
                 rng,
             );
             for (i, p) in prediction.iter_mut().enumerate() {
@@ -126,18 +129,6 @@ impl GradientBoostedRegressor {
     /// Number of boosting rounds performed.
     pub fn num_rounds(&self) -> usize {
         self.trees.len()
-    }
-}
-
-impl Dataset {
-    /// Clones this dataset with labels recomputed from the row index —
-    /// the residual-update primitive of gradient boosting.
-    pub fn clone_with_labels(&self, f: impl Fn(usize) -> f64) -> Dataset {
-        let mut out = Dataset::with_capacity(self.num_features(), self.len());
-        for i in 0..self.len() {
-            out.push(self.row(i), f(i));
-        }
-        out
     }
 }
 
@@ -207,14 +198,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let params = BoostParams { learning_rate: 0.0, ..Default::default() };
         let _ = GradientBoostedRegressor::fit(&d, &params, &mut rng);
-    }
-
-    #[test]
-    fn clone_with_labels_replaces_labels_only() {
-        let d = wiggly();
-        let r = d.clone_with_labels(|i| i as f64);
-        assert_eq!(r.len(), d.len());
-        assert_eq!(r.row(5), d.row(5));
-        assert_eq!(r.label(5), 5.0);
     }
 }

@@ -66,9 +66,12 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len()` differs from [`Self::num_features`].
+    /// Panics if `row.len()` differs from [`Self::num_features`], or if a
+    /// feature value is NaN or infinite: split thresholds are midpoints of
+    /// finite values, and a NaN would compare false on both sides of one.
     pub fn push(&mut self, row: &[f64], label: f64) {
         assert_eq!(row.len(), self.num_features, "row width mismatch");
+        assert!(row.iter().all(|x| x.is_finite()), "non-finite feature value in {row:?}");
         self.features.extend_from_slice(row);
         self.labels.push(label);
     }
@@ -301,6 +304,12 @@ mod tests {
         assert_eq!(a.len(), 5);
         assert_eq!(a.row(3), d.row(3));
         assert_eq!(a.label(4), d.label(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite feature value")]
+    fn push_rejects_nan_features() {
+        Dataset::new(2).push(&[0.0, f64::NAN], 1.0);
     }
 
     #[test]

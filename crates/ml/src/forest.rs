@@ -64,7 +64,14 @@ fn fit_trees(
         }
         tevot_obs::metrics::ML_TRAIN_ITERATIONS.incr();
         tevot_obs::instant!("ml.tree_fitted");
-        DecisionTree::fit_with_table(data, &indices, task, &params.tree, &table, &mut tree_rng)
+        DecisionTree::fit_with_table(
+            &table,
+            data.labels(),
+            &indices,
+            task,
+            &params.tree,
+            &mut tree_rng,
+        )
     })
 }
 

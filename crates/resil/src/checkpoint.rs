@@ -220,6 +220,10 @@ impl<T> ManifestCtx<T> for Result<T, TevotError> {
 mod tests {
     use super::*;
 
+    // Tests that assert exact I/O outcomes hold a no-op failpoint scope:
+    // it replaces any `TEVOT_FAIL` configuration from the environment
+    // (the chaos run arms `ckpt.*`) and excludes the fault tests below.
+
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tevot_ckpt_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -228,6 +232,7 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("roundtrip");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.write("cond-0", b"hello shard").unwrap();
@@ -239,6 +244,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_is_rejected() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("corrupt");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.write("cond-0", b"pristine payload").unwrap();
@@ -253,6 +259,7 @@ mod tests {
 
     #[test]
     fn truncated_shard_is_rejected() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("truncated");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.write("cond-0", b"will be cut short").unwrap();
@@ -267,6 +274,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("magic");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.write("cond-0", b"x").unwrap();
@@ -327,6 +335,7 @@ mod tests {
 
     #[test]
     fn manifest_binds_and_detects_mismatch() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("manifest");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.bind_manifest(0xABCD).unwrap();
@@ -339,6 +348,7 @@ mod tests {
 
     #[test]
     fn empty_payload_round_trips() {
+        let _scope = crate::fail::scoped("");
         let dir = scratch("empty");
         let ckpt = CheckpointDir::open(&dir).unwrap();
         ckpt.write("cond-0", b"").unwrap();

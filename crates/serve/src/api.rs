@@ -33,7 +33,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use tevot::workload::random_workload;
@@ -99,6 +99,12 @@ impl ServeState {
     /// Jobs currently queued for batching.
     pub fn queue_depth(&self) -> usize {
         self.batcher.depth()
+    }
+
+    /// Holds the batching executor until the guard drops (see
+    /// [`Batcher::hold`]).
+    pub fn hold_batcher(&self) -> MutexGuard<'_, ()> {
+        self.batcher.hold()
     }
 
     /// Installs the watch (once; later calls are ignored). Done by

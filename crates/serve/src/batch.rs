@@ -26,8 +26,7 @@
 //! waiting client miss its budget for work it no longer wants.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tevot::TevotModel;
@@ -73,6 +72,9 @@ pub struct Batcher {
     tx: mpsc::SyncSender<Job>,
     depth: Arc<AtomicUsize>,
     stop: CancelToken,
+    /// Taken by the batcher thread before it executes each batch; see
+    /// [`Batcher::hold`].
+    gate: Arc<Mutex<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -91,12 +93,25 @@ impl Batcher {
         let stop = CancelToken::new();
         let thread_depth = Arc::clone(&depth);
         let thread_stop = stop.clone();
+        let gate = Arc::new(Mutex::new(()));
+        let thread_gate = Arc::clone(&gate);
         let batch = batch.max(1);
         let handle = std::thread::Builder::new()
             .name("tevot-serve-batcher".into())
-            .spawn(move || run_batcher(&rx, &thread_depth, &thread_stop, jobs, batch, batch_wait))
+            .spawn(move || {
+                run_batcher(&rx, &thread_depth, &thread_stop, &thread_gate, jobs, batch, batch_wait)
+            })
             .expect("spawn batcher thread");
-        Batcher { tx, depth, stop, handle: Some(handle) }
+        Batcher { tx, depth, stop, gate, handle: Some(handle) }
+    }
+
+    /// Holds the executor until the returned guard drops: the batcher
+    /// still claims one batch, but waits for the guard before executing
+    /// it and so claims no other. At most one batch plus a full queue
+    /// are then accepted, and every later submission sheds — overload
+    /// on demand, independent of how fast the host runs the model.
+    pub fn hold(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enqueues one prediction job; returns the channel its result will
@@ -169,6 +184,7 @@ fn run_batcher(
     rx: &mpsc::Receiver<Job>,
     depth: &AtomicUsize,
     stop: &CancelToken,
+    gate: &Mutex<()>,
     jobs: usize,
     batch: usize,
     batch_wait: Duration,
@@ -203,6 +219,7 @@ fn run_batcher(
                 Err(_) => break,
             }
         }
+        drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
         execute_batch(jobs_in_batch, jobs);
     }
     // Shutdown: answer whatever is still queued instead of dropping it
@@ -331,16 +348,11 @@ mod tests {
         let model = tiny_model();
         let cond = OperatingCondition::new(0.9, 25.0);
         let batcher = Batcher::start(1, 2, 1, Duration::from_millis(50));
-        // Park the single worker on a job heavy enough to outlast the
-        // flood below; without it the outcome races on whether the
+        // Hold the executor so the outcome cannot race on whether the
         // drain loop keeps pace with the submit loop.
+        let held = batcher.hold();
         let mut shed = 0;
         let mut receivers = Vec::new();
-        receivers.push(
-            batcher
-                .submit(Arc::clone(&model), cond, transitions(50_000), CancelToken::new(), None, 0)
-                .expect("first job fits an empty queue"),
-        );
         for _ in 0..64 {
             match batcher.submit(
                 Arc::clone(&model),
@@ -354,7 +366,10 @@ mod tests {
                 Err(Shed) => shed += 1,
             }
         }
+        // One claimed batch of one job plus a 2-deep queue.
+        assert!(receivers.len() <= 3, "{} accepted", receivers.len());
         assert!(shed > 0, "flooding a 2-deep queue must shed");
+        drop(held);
         // Accepted jobs still complete.
         for rx in receivers {
             assert!(rx.recv().expect("reply").is_ok());
