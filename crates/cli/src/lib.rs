@@ -95,8 +95,7 @@ tevot — timing-error modeling of functional units (TEVoT, DAC 2020)
                      [--watch-capacity N] [--shadow-every N] [--psi-alert X]
   tevot top          [--addr <host:port>] [--interval-ms N] [--once]
   tevot prom-check   [--addr <host:port>]
-  tevot obs-diff     <a.json> <b.json>      (two --metrics or profile files)
-  tevot flame        <profile.txt> [--out flame.svg] [--title <text>]
+  tevot obs-diff     <a.json> <b.json>      (two --metrics reports)
 
 units: int-add | int-mul | fp-add | fp-mul; operands take decimal or 0x hex.
 workload traces: one `aaaaaaaa bbbbbbbb` hex pair per line, `#` comments.
@@ -111,8 +110,7 @@ serve (online inference; see DESIGN.md for the batching architecture):
   --batch-wait-ms <N>  how long a microbatch waits for company (default 1)
   endpoints: POST /predict | POST /ter | POST /dfs | POST /models/<name> |
              GET /models | GET /healthz | GET /metrics[?format=prom] |
-             GET /watch | GET /profile  (folded stacks; sampling starts
-             lazily on the first scrape)
+             GET /watch
 
 serve telemetry (DESIGN.md §14; on by default, --no-watch disables):
   --watch-resolution-ms <N>  sampler tick period (default 1000)
@@ -148,11 +146,6 @@ global flags (any position):
   --metrics <path>     write stage timings + counters as tevot-obs/1 JSON
   --trace <path>       record a timeline and write Chrome/Perfetto trace
                        JSON (open at https://ui.perfetto.dev)
-  --profile-folded <path>  sample span stacks statistically for the whole
-                       run and write a Brendan-Gregg collapsed-stack
-                       profile (render with `tevot flame`)
-  --profile-alloc      count heap allocations/bytes per span path
-                       (alloc.* counters in the --metrics report)
 (the TEVOT_LOG env var sets the base level: off|error|warn|info|debug)";
 
 /// Executes one CLI invocation (`argv` without the program name).
@@ -162,7 +155,7 @@ global flags (any position):
 /// Returns a descriptive error for unknown subcommands, malformed
 /// arguments, unreadable files or invalid model data.
 pub fn run(argv: Vec<String>) -> Result<(), Box<dyn Error>> {
-    let (argv, _obs, _prof) = global_flags(argv)?;
+    let (argv, _obs) = global_flags(argv)?;
     let args = Args::parse(argv)?;
     match args.command() {
         "help" | "--help" | "-h" => {
@@ -180,28 +173,23 @@ pub fn run(argv: Vec<String>) -> Result<(), Box<dyn Error>> {
         "top" => cmd_top(&args),
         "prom-check" => cmd_prom_check(&args),
         "obs-diff" => cmd_obs_diff(&args),
-        "flame" => cmd_flame(&args),
         other => Err(ArgError(format!("unknown subcommand {other:?}")).into()),
     }
 }
 
 /// Extracts the global flags (`-v`/`--verbose`, `-q`/`--quiet`,
-/// `--jobs <N>`, `--metrics <path>`, `--trace <path>`,
-/// `--profile-folded <path>`, `--profile-alloc`) from anywhere on the
-/// command line, applies the verbosity and the worker-pool size, enables
-/// timeline recording when a trace was requested, and returns the
-/// remaining tokens plus the RAII reporters: the metrics/trace writer
-/// and, when statistical profiling was requested, the guard that writes
-/// the collapsed-stack profile when [`run`] finishes.
+/// `--jobs <N>`, `--metrics <path>`, `--trace <path>`) from anywhere on
+/// the command line, applies the verbosity and the worker-pool size,
+/// enables timeline recording when a trace was requested, and returns
+/// the remaining tokens plus the RAII metrics/trace writer that reports
+/// when [`run`] finishes.
 fn global_flags(
     argv: Vec<String>,
-) -> Result<(Vec<String>, tevot_obs::report::FinishGuard, Option<tevot_prof::FoldedGuard>), ArgError>
-{
+) -> Result<(Vec<String>, tevot_obs::report::FinishGuard), ArgError> {
     let mut rest = Vec::with_capacity(argv.len());
     let mut verbosity = 0i32;
     let mut metrics = None;
     let mut trace = None;
-    let mut folded = None;
     let mut iter = argv.into_iter();
     while let Some(token) = iter.next() {
         match token.as_str() {
@@ -217,12 +205,8 @@ fn global_flags(
                 Some(Ok(jobs)) => tevot_par::set_jobs(jobs),
                 _ => return Err(ArgError("--jobs needs a worker count".into())),
             },
-            "--metrics" | "--trace" | "--profile-folded" => {
-                let slot = match token.as_str() {
-                    "--metrics" => &mut metrics,
-                    "--trace" => &mut trace,
-                    _ => &mut folded,
-                };
+            "--metrics" | "--trace" => {
+                let slot = if token == "--metrics" { &mut metrics } else { &mut trace };
                 match iter.next() {
                     Some(path) if !path.starts_with("--") => {
                         *slot = Some(std::path::PathBuf::from(path));
@@ -230,18 +214,13 @@ fn global_flags(
                     _ => return Err(ArgError(format!("{token} needs a file path"))),
                 }
             }
-            "--profile-alloc" => {
-                tevot_obs::stacks::enable();
-                tevot_prof::alloc::enable();
-            }
             _ => rest.push(token),
         }
     }
     if verbosity != 0 {
         tevot_obs::adjust_level(verbosity);
     }
-    let prof = folded.map(tevot_prof::FoldedGuard::start);
-    Ok((rest, tevot_obs::report::FinishGuard::new().metrics_path(metrics).trace_path(trace), prof))
+    Ok((rest, tevot_obs::report::FinishGuard::new().metrics_path(metrics).trace_path(trace)))
 }
 
 /// Reads the `--engine {event,levelized}` flag (default: levelized, the
@@ -447,34 +426,6 @@ fn cmd_obs_diff(args: &Args) -> Result<(), Box<dyn Error>> {
     outln!("a: {a_path}");
     outln!("b: {b_path}");
     outln!("{}", tevot_obs::diff::render_diff(&a, &b));
-    Ok(())
-}
-
-/// `tevot flame`: renders a collapsed-stack profile (as written by
-/// `--profile-folded` or served at `GET /profile`) as a self-contained
-/// SVG flamegraph, to `--out` or stdout.
-fn cmd_flame(args: &Args) -> Result<(), Box<dyn Error>> {
-    let profile_path = args.require_positional(0, "folded profile path")?.to_owned();
-    let out = args.get("out").map(str::to_owned);
-    let title = args.get("title").map(str::to_owned);
-    args.finish()?;
-
-    let text = at_path(std::fs::read_to_string(&profile_path), "read profile", &profile_path)?;
-    let profile = tevot_prof::Profile::parse(&text)
-        .map_err(|e| TevotError::new(ErrorKind::Parse, format!("{profile_path}: {e}")))?;
-    let title = title.unwrap_or_else(|| format!("tevot profile — {profile_path}"));
-    let svg = tevot_prof::flame::render_svg(&profile, &title);
-    match out {
-        Some(path) => {
-            at_path(std::fs::write(&path, &svg), "write flamegraph", &path)?;
-            tevot_obs::info!(
-                "flame: wrote {path} ({} stacks, {} ns)",
-                profile.len(),
-                profile.total()
-            );
-        }
-        None => outln!("{svg}"),
-    }
     Ok(())
 }
 

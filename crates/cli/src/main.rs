@@ -2,12 +2,6 @@
 
 use std::process::ExitCode;
 
-/// Heap accounting for `--profile-alloc`: a pass-through to the system
-/// allocator until the toggle flips, so an unprofiled run pays one
-/// relaxed load per allocation.
-#[global_allocator]
-static ALLOC: tevot_prof::TevotAlloc = tevot_prof::TevotAlloc;
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match tevot_cli::run(argv) {

@@ -10,11 +10,11 @@
 //! each (`total`, `~p50`, `~p99`, the quantiles interpolated via
 //! [`metrics::quantile_from`](crate::metrics::quantile_from)).
 //!
-//! `tevot-prof/1` self-time tables diff through the same machinery:
-//! standalone prof documents parse into [`Report::profile`], embedded
-//! `profile` blocks ride along with full reports, and pre-profile
-//! reports derive self time from their span totals — in every case the
-//! diff renders a "self time (ms)" section ordered by delta magnitude.
+//! Per-path self time diffs through the same machinery: the embedded
+//! `tevot-prof/1` `profile` block fills [`Report::profile`], and reports
+//! written before that block shipped derive self time from their span
+//! totals — either way the diff renders a "self time (ms)" section
+//! ordered by delta magnitude.
 
 use crate::json::{parse, Json};
 use crate::metrics::quantile_from;
@@ -30,8 +30,7 @@ pub struct HistogramData {
     pub counts: Vec<u64>,
 }
 
-/// A parsed `tevot-obs/1` (or standalone `tevot-prof/1`) document,
-/// structurally validated.
+/// A parsed `tevot-obs/1` document, structurally validated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// `(path, total_ns, count)` per span, in document order.
@@ -40,16 +39,14 @@ pub struct Report {
     pub counters: Vec<(String, u64)>,
     /// Histogram data, in document order.
     pub histograms: Vec<HistogramData>,
-    /// `(path, self_ns)` per span from the `tevot-prof/1` self-time
-    /// block (embedded `profile` member or a standalone prof document);
-    /// derived from `spans` when the document predates the block.
+    /// `(path, self_ns)` per span from the embedded `tevot-prof/1`
+    /// `profile` block; derived from `spans` when the document predates
+    /// the block.
     pub profile: Vec<(String, f64)>,
 }
 
 impl Report {
-    /// Parses and validates a metrics document: either a full
-    /// `tevot-obs/1` report or a standalone `tevot-prof/1` self-time
-    /// table (which fills only [`Report::profile`]).
+    /// Parses and validates a `tevot-obs/1` metrics document.
     ///
     /// # Errors
     ///
@@ -59,15 +56,8 @@ impl Report {
         let doc = parse(text).map_err(|e| e.to_string())?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(crate::report::SCHEMA) => {}
-            Some(crate::report::PROF_SCHEMA) => {
-                let mut report = Report::default();
-                parse_hot_paths(&doc, &mut report.profile)?;
-                return Ok(report);
-            }
             Some(other) => {
-                return Err(format!(
-                    "unsupported schema {other:?} (expected tevot-obs/1 or tevot-prof/1)"
-                ))
+                return Err(format!("unsupported schema {other:?} (expected tevot-obs/1)"))
             }
             None => return Err("not a tevot-obs report: missing \"schema\" member".into()),
         }
@@ -139,13 +129,13 @@ impl Report {
     }
 }
 
-/// Reads a `tevot-prof/1` `hot_paths` array into `(path, self_ns)`
-/// pairs.
+/// Reads an embedded `profile` block's `hot_paths` array into
+/// `(path, self_ns)` pairs.
 fn parse_hot_paths(block: &Json, out: &mut Vec<(String, f64)>) -> Result<(), String> {
     let entries = block
         .get("hot_paths")
         .and_then(Json::as_arr)
-        .ok_or("tevot-prof block without \"hot_paths\" array")?;
+        .ok_or("profile block without \"hot_paths\" array")?;
     for entry in entries {
         out.push((
             entry
@@ -230,7 +220,7 @@ fn section(out: &mut String, title: &str, rows: &[(String, Cell, Cell)]) {
     }
 }
 
-/// Renders one self-time delta table over two `tevot-prof/1` profiles:
+/// Renders one self-time delta table over two reports' profiles:
 /// rows are keyed by span path, valued in whatever unit the caller
 /// supplies, sorted by absolute delta descending and truncated to
 /// `limit`.
@@ -398,24 +388,6 @@ mod tests {
         // study: 4 ms total - 1 ms child = 3 ms self; leaf keeps its own.
         assert_eq!(a.profile[0], ("study".into(), 3_000_000.0));
         assert_eq!(a.profile[1], ("study/train".into(), 1_000_000.0));
-    }
-
-    #[test]
-    fn standalone_prof_documents_parse_and_diff() {
-        let a = r#"{"schema":"tevot-prof/1","hot_paths":[
-            {"path":"sweep/dta/sim","self_ns":9000000,"total_ns":9000000,"count":5},
-            {"path":"sweep","self_ns":1000000,"total_ns":10000000,"count":1}]}"#;
-        let b = r#"{"schema":"tevot-prof/1","hot_paths":[
-            {"path":"sweep/dta/sim","self_ns":4000000,"total_ns":4000000,"count":5},
-            {"path":"sweep","self_ns":1000000,"total_ns":5000000,"count":1}]}"#;
-        let a = Report::parse(a).unwrap();
-        let b = Report::parse(b).unwrap();
-        assert!(a.spans.is_empty() && a.counters.is_empty());
-        assert_eq!(a.profile.len(), 2);
-        let text = render_diff(&a, &b);
-        assert!(text.contains("self time (ms)"), "{text}");
-        assert!(text.contains("sweep/dta/sim"), "{text}");
-        assert!(text.contains("-5.000"), "{text}");
     }
 
     #[test]

@@ -171,14 +171,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap keeps hostile input (a request body of a
+/// million `[`) from overflowing a thread's stack; every document the
+/// repository writes nests a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (surrounding whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input.
+/// Returns [`ParseError`] on malformed input, including nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -191,6 +198,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -232,11 +241,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// go deeper than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -404,6 +428,25 @@ mod tests {
         for text in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{a:1}"] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_overflows() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 128");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // A body the server would accept (1 MiB) on a thread with a
+        // small stack: rejected, not a stack overflow.
+        let hostile = "[".repeat(1 << 20);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&hostile).is_err())
+            .unwrap()
+            .join();
+        assert!(result.unwrap(), "a 1 MiB run of '[' must be rejected");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod prom;
 pub mod report;
 pub mod slo;
 pub mod span;
-pub mod stacks;
 pub mod trace;
 pub mod watch;
 

@@ -259,13 +259,6 @@ pub static WATCH_SAMPLES: Counter = Counter::new("watch.samples");
 /// Served requests replayed through the simulator oracle for shadow
 /// scoring.
 pub static WATCH_SHADOW_REPLAYS: Counter = Counter::new("watch.shadow_replays");
-/// Stack snapshots taken by the `tevot-prof` sampler thread.
-pub static PROF_SAMPLES: Counter = Counter::new("prof.samples");
-/// Heap allocations observed by `TevotAlloc` while allocation profiling
-/// is enabled (zero while the runtime toggle is off).
-pub static ALLOC_ALLOCATIONS: Counter = Counter::new("alloc.allocations");
-/// Bytes requested by those observed allocations.
-pub static ALLOC_BYTES: Counter = Counter::new("alloc.bytes");
 
 /// Dynamic delay of each simulated cycle, in picoseconds.
 pub static SIM_CYCLE_DELAY_PS: Histogram = Histogram::new(
@@ -297,7 +290,7 @@ pub static SERVE_BATCH_JOBS: Histogram =
 pub static SERVE_QUEUE_DEPTH: Histogram =
     Histogram::new("serve.queue_depth", &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
 
-static COUNTERS: [&Counter; 30] = [
+static COUNTERS: [&Counter; 27] = [
     &SIM_CYCLES,
     &SIM_EVENTS,
     &SIM_GATE_EVALS,
@@ -325,9 +318,6 @@ static COUNTERS: [&Counter; 30] = [
     &WATCH_ALERTS,
     &WATCH_SAMPLES,
     &WATCH_SHADOW_REPLAYS,
-    &PROF_SAMPLES,
-    &ALLOC_ALLOCATIONS,
-    &ALLOC_BYTES,
 ];
 
 static HISTOGRAMS: [&Histogram; 7] = [

@@ -47,8 +47,8 @@ use crate::span::{self, SpanStat, PATH_SEPARATOR};
 /// The schema identifier written into every JSON report.
 pub const SCHEMA: &str = "tevot-obs/1";
 
-/// Schema identifier of the embedded self-time profile block (also used
-/// standalone by `tevot-prof` tooling and understood by `obs-diff`).
+/// Schema identifier of the embedded self-time profile block (read back
+/// by `obs-diff`).
 pub const PROF_SCHEMA: &str = "tevot-prof/1";
 
 /// A point-in-time copy of every span, counter, and histogram.

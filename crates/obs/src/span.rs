@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::stacks::NO_PREV;
-
 /// Separator between nested span names in an aggregation path.
 pub const PATH_SEPARATOR: char = '/';
 
@@ -58,9 +56,6 @@ pub struct SpanGuard {
     path: Option<String>,
     /// Leaf name (the trace-slice label).
     name: &'static str,
-    /// Slot path id to restore on drop when stack-slot publishing was
-    /// live at enter ([`stacks::NO_PREV`](crate::stacks) otherwise).
-    prev_slot: usize,
     start: Instant,
 }
 
@@ -81,15 +76,13 @@ impl SpanGuard {
             path
         });
         crate::trace::begin(name);
-        let prev_slot =
-            if crate::stacks::enabled() { crate::stacks::publish(&path) } else { NO_PREV };
-        SpanGuard { path: Some(path), name, prev_slot, start: Instant::now() }
+        SpanGuard { path: Some(path), name, start: Instant::now() }
     }
 
     /// A no-op guard (what `debug_span!` expands to when the
     /// `debug-spans` feature is off).
     pub fn disabled() -> SpanGuard {
-        SpanGuard { path: None, name: "", prev_slot: NO_PREV, start: Instant::now() }
+        SpanGuard { path: None, name: "", start: Instant::now() }
     }
 }
 
@@ -97,7 +90,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(path) = self.path.take() else { return };
         crate::trace::end(self.name);
-        crate::stacks::restore(self.prev_slot);
         let elapsed = self.start.elapsed().as_nanos();
         STACK.with(|stack| {
             stack.borrow_mut().pop();

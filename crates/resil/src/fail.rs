@@ -21,8 +21,10 @@
 //! * `panic` — the site panics, simulating a hard mid-operation crash.
 //! * `probability` — chance in `[0, 1]` that an evaluation fires
 //!   (default 1). Draws come from a per-site deterministic generator
-//!   seeded by `TEVOT_FAIL_SEED` (default 0), so a chaos run is exactly
-//!   reproducible.
+//!   seeded from the site name and, for `TEVOT_FAIL`, `TEVOT_FAIL_SEED`
+//!   (default 0), so a chaos run is exactly reproducible. Programmatic
+//!   specs ([`configure`], [`scoped`]) seed from the site name alone, so
+//!   a test's draws do not change with the chaos seed.
 //! * `skip` — the first `skip` evaluations always pass (default 0);
 //!   `ckpt.write=panic#2` crashes on the third checkpoint write.
 //!
@@ -107,14 +109,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 fn site_seed(site: &str) -> u64 {
-    let env_seed =
-        std::env::var("TEVOT_FAIL_SEED").ok().and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in site.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    env_seed ^ h
+    h
 }
 
 fn parse_spec(spec: &str) -> Result<HashMap<String, Site>, String> {
@@ -162,8 +162,13 @@ fn init_from_env() {
     // Racing initializers both parse the same env and install equivalent
     // state; the lock serializes the map swap itself.
     let spec = std::env::var("TEVOT_FAIL").unwrap_or_default();
+    let seed =
+        std::env::var("TEVOT_FAIL_SEED").ok().and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
     match parse_spec(&spec) {
-        Ok(sites) => {
+        Ok(mut sites) => {
+            for site in sites.values_mut() {
+                site.rng_state ^= seed;
+            }
             if !sites.is_empty() {
                 tevot_obs::warn!("fault injection enabled: TEVOT_FAIL={spec}");
             }
@@ -258,8 +263,9 @@ fn eval_slow(site: &str) -> Result<(), io::Error> {
 /// A scoped failpoint configuration for tests: takes the global
 /// exclusivity lock (serializing every test that injects faults),
 /// installs `spec`, and restores the previous configuration on drop.
-/// Each scope re-seeds per-site generators, so behavior inside a scope
-/// is deterministic regardless of what ran before.
+/// Each scope re-seeds per-site generators from the site names alone, so
+/// behavior inside a scope is deterministic regardless of what ran
+/// before or of `TEVOT_FAIL_SEED`.
 ///
 /// # Panics
 ///

@@ -177,16 +177,13 @@ fn route(state: &ServeState, req: &Request) -> Response {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/metrics") => metrics(state, query),
         ("GET", "/watch") => watch_endpoint(state, query),
-        ("GET", "/profile") => profile(),
         ("GET", "/models") => list_models(state),
         ("POST", path) if path.strip_prefix("/models/").is_some_and(|n| !n.is_empty()) => {
             swap_model(state, req)
         }
-        (
-            _,
-            "/predict" | "/ter" | "/dfs" | "/healthz" | "/metrics" | "/watch" | "/profile"
-            | "/models",
-        ) => error_response(405, "usage", &format!("method {} not allowed on {path}", req.method)),
+        (_, "/predict" | "/ter" | "/dfs" | "/healthz" | "/metrics" | "/watch" | "/models") => {
+            error_response(405, "usage", &format!("method {} not allowed on {path}", req.method))
+        }
         _ => error_response(404, "usage", &format!("no such endpoint {path:?}")),
     }
 }
@@ -672,20 +669,6 @@ fn watch_endpoint(state: &ServeState, query: &str) -> Response {
     Response::json(200, watch.to_json(since_ms, reference).to_string())
 }
 
-/// The current folded profile from the always-on statistical sampler as
-/// `text/plain` collapsed stacks (feed it straight to `tevot flame`).
-/// Sampling starts lazily on the first scrape, so a server nobody
-/// profiles pays nothing beyond the span enter/exit publish.
-fn profile() -> Response {
-    tevot_prof::sampler::start_global();
-    let body = tevot_prof::sampler::global_profile().map(|p| p.render()).unwrap_or_default();
-    Response {
-        status: 200,
-        headers: vec![("Content-Type".into(), "text/plain; charset=utf-8".into())],
-        body: body.into_bytes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,21 +1091,6 @@ mod tests {
         assert_eq!(handle(&state, &get("/watch?since_ms=nope")).status, 400);
         assert_eq!(handle(&state, &get("/watch?since_ms=0")).status, 200);
         assert_eq!(handle(&state, &post("/watch", "")).status, 405);
-    }
-
-    #[test]
-    fn profile_endpoint_serves_folded_text_and_rejects_post() {
-        let state = state_with_model();
-        let response = handle(&state, &get("/profile"));
-        assert_eq!(response.status, 200);
-        let content_type = response.headers.iter().find(|(n, _)| n == "Content-Type").unwrap();
-        assert_eq!(content_type.1, "text/plain; charset=utf-8");
-        // The body (possibly empty right after the lazy start) must be
-        // valid collapsed-stack text.
-        let text = std::str::from_utf8(&response.body).unwrap();
-        tevot_prof::Profile::parse(text).expect("profile endpoint must emit parseable stacks");
-        assert!(tevot_prof::sampler::global_running(), "first scrape starts the sampler");
-        assert_eq!(handle(&state, &post("/profile", "")).status, 405);
     }
 
     #[test]

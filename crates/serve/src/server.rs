@@ -3,13 +3,14 @@
 //! Deliberately boring concurrency: one OS thread per connection (the
 //! batcher provides the scalability — prediction work from every
 //! connection funnels into one queue, so connection threads spend their
-//! lives blocked on I/O, not computing). The accept loop and the
-//! connection loops poll a shared [`CancelToken`] on short socket
-//! timeouts, so [`Server::shutdown`] converges without killing anything
-//! mid-response.
+//! lives blocked on I/O, not computing). The accept loop blocks in
+//! `accept` and checks a shared [`CancelToken`] after every connection;
+//! shutdown cancels the token and wakes it with one connection of its
+//! own. Connection loops poll the token on short socket timeouts, so
+//! [`Server::shutdown`] converges without killing anything mid-response.
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,7 +81,6 @@ impl Server {
     /// Propagates the bind failure (address in use, permission...).
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServeState::new(
             config.jobs,
@@ -130,8 +130,8 @@ impl Server {
         self.stop_and_join();
     }
 
-    /// Blocks until the accept loop exits (i.e. forever, unless another
-    /// thread cancels). Used by the CLI foreground mode.
+    /// Blocks until the accept loop exits, i.e. forever. Used by the CLI
+    /// foreground mode.
     pub fn join(mut self) {
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
@@ -141,7 +141,16 @@ impl Server {
     fn stop_and_join(&mut self) {
         self.stop.cancel();
         if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+            // The accept loop blocks in `accept`; one connection of our
+            // own wakes it to see the cancelled token. Without that
+            // connection it would never return, so it is left detached
+            // rather than joined.
+            match TcpStream::connect(wake_addr(self.addr)) {
+                Ok(_) => {
+                    let _ = handle.join();
+                }
+                Err(e) => tevot_obs::warn!("serve: cannot wake the accept loop: {e}"),
+            }
         }
         if let Some(handle) = self.sampler_handle.take() {
             let _ = handle.join();
@@ -153,6 +162,18 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// Where a client on this host reaches a listener bound to `addr`:
+/// loopback when the bound IP is unspecified (`0.0.0.0` / `::`).
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// The watch sampler: one tick per `resolution_ms`, polling the stop
@@ -182,6 +203,9 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, peer)) => {
+                if stop.is_cancelled() {
+                    return;
+                }
                 tevot_obs::debug!("serve: connection from {peer}");
                 // Responses are small and latency-bound: without this,
                 // Nagle + delayed ACK can stall every keep-alive
@@ -196,12 +220,7 @@ fn accept_loop(
                     tevot_obs::error!("serve: cannot spawn connection thread: {e}");
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stop.is_cancelled() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(_) if stop.is_cancelled() => return,
             Err(e) => {
                 tevot_obs::warn!("serve: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(10));

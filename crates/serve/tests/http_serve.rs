@@ -259,6 +259,32 @@ fn oversized_body_gets_413() {
     server.shutdown();
 }
 
+/// A body of a million `[` — within the 1 MiB body cap — is a 400 with
+/// a request id, not a stack overflow that takes the server down.
+#[test]
+fn deeply_nested_json_body_gets_400_and_the_server_survives() {
+    let server = start_with_model(ServeConfig::default(), 7);
+    let mut client = Client::connect(server.local_addr());
+    let reply = client.request("POST", "/predict", &"[".repeat(1 << 20));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let doc = reply.json();
+    assert!(doc.get("request_id").and_then(Json::as_u64).is_some_and(|id| id > 0), "{doc}");
+    let mut fresh = Client::connect(server.local_addr());
+    assert_eq!(fresh.request("GET", "/healthz", "").status, 200);
+    server.shutdown();
+}
+
+/// `accept` blocks; shutdown wakes it with a loopback connection even
+/// when the server listens on the wildcard address.
+#[test]
+fn shutdown_of_a_wildcard_bind_returns_promptly() {
+    let config = ServeConfig { addr: "0.0.0.0:0".into(), ..ServeConfig::default() };
+    let server = Server::start(config).expect("bind wildcard");
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2), "shutdown took {:?}", started.elapsed());
+}
+
 /// Admission control over TCP: with a one-slot queue and one-job
 /// batches, a held executor accepts at most one claimed batch plus one
 /// queued job, so every other concurrent request sheds with 503 +

@@ -1,7 +1,7 @@
 //! The bit-parallel levelized simulation engine.
 //!
 //! Two passes over a topologically levelized netlist replace the
-//! event-driven simulator's priority queue (see DESIGN.md §16):
+//! event-driven simulator's priority queue (see DESIGN.md §15):
 //!
 //! 1. **Value propagation, 64 cycles at a time.** Each net holds one `u64`
 //!    word whose bit `j` is the net's settled value after input vector `j`
