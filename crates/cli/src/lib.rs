@@ -19,8 +19,7 @@
 //!                    [--vectors N] [--seed S] [--clock-ps N]
 //! tevot serve        --model model.tevot [--addr host:port]
 //!                    [--max-queue N] [--batch N] [--batch-wait-ms N]
-//!                    [--slo spec,spec] [--no-watch] [--shadow-every N]
-//! tevot top          [--addr host:port] [--interval-ms N] [--once]
+//!                    [--no-watch] [--shadow-every N] [--fu <unit>]
 //! tevot prom-check   [--addr host:port]
 //! tevot obs-diff     <a.json> <b.json>
 //! ```
@@ -91,9 +90,7 @@ tevot — timing-error modeling of functional units (TEVoT, DAC 2020)
                      --fu <unit> [--vectors N] [--seed S]) [--validate]
   tevot serve        --model model.tevot [--addr <host:port>]
                      [--max-queue N] [--batch N] [--batch-wait-ms N]
-                     [--slo spec,spec] [--no-watch] [--watch-resolution-ms N]
-                     [--watch-capacity N] [--shadow-every N] [--psi-alert X]
-  tevot top          [--addr <host:port>] [--interval-ms N] [--once]
+                     [--no-watch] [--shadow-every N] [--fu <unit>]
   tevot prom-check   [--addr <host:port>]
   tevot obs-diff     <a.json> <b.json>      (two --metrics reports)
 
@@ -113,18 +110,16 @@ serve (online inference; see DESIGN.md for the batching architecture):
              GET /watch
 
 serve telemetry (DESIGN.md §14; on by default, --no-watch disables):
-  --watch-resolution-ms <N>  sampler tick period (default 1000)
-  --watch-capacity <N>       samples retained per series (default 600)
-  --slo <spec,...>           objectives, e.g. serve.p99_us<5000 or
-                             serve.error_ratio<0.01; alert when both the
-                             fast and slow burn-rate windows exceed them
-  --shadow-every <N>         replay every Nth served transition through
-                             the gate-level oracle for a live-accuracy
-                             signal (default 0 = off); --fu picks the
-                             simulated unit (default int-add)
-  --psi-alert <X>            PSI level at which drift alerts (default 0.25)
-  `tevot top` renders the /watch feed as a live dashboard; `tevot
-  prom-check` validates the Prometheus exposition (for CI and scrapers)
+  GET /watch reports PSI drift of the served (V, T, delay) against the
+  model's training reference (alert level 0.25), shadow accuracy and
+  the slowest requests; time series and alerting belong to a
+  Prometheus scraper of GET /metrics?format=prom.
+  --shadow-every <N>   replay every Nth served transition through the
+                       gate-level oracle for a live-accuracy signal
+                       (default 0 = off); --fu picks the simulated unit
+                       (default int-add)
+  `tevot prom-check` validates the Prometheus exposition (for CI and
+  scrapers)
 
 train resilience:
   --resume <dir>       checkpoint each characterized condition to <dir>
@@ -170,7 +165,6 @@ pub fn run(argv: Vec<String>) -> Result<(), Box<dyn Error>> {
         "ter" => cmd_ter(&args),
         "dfs" => cmd_dfs(&args),
         "serve" => cmd_serve(&args),
-        "top" => cmd_top(&args),
         "prom-check" => cmd_prom_check(&args),
         "obs-diff" => cmd_obs_diff(&args),
         other => Err(ArgError(format!("unknown subcommand {other:?}")).into()),
@@ -714,14 +708,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let batch: usize = args.get_or("batch", 32)?;
     let batch_wait_ms: u64 = args.get_or("batch-wait-ms", 1)?;
     let no_watch = args.flag("no-watch");
-    let watch_resolution_ms: u64 = args.get_or("watch-resolution-ms", 1000)?;
-    let watch_capacity: usize = args.get_or("watch-capacity", 600)?;
     let shadow_every: u64 = args.get_or("shadow-every", 0)?;
-    let psi_alert: f64 = args.get_or("psi-alert", tevot_obs::drift::PSI_ALERT_DEFAULT)?;
-    let slos = match args.get("slo") {
-        Some(spec) => tevot_obs::slo::Slo::parse_list(spec).map_err(ArgError)?,
-        None => Vec::new(),
-    };
     let shadow_fu = args.get("fu").map(parse_fu).transpose()?.unwrap_or(FunctionalUnit::IntAdd);
     args.finish()?;
     if max_queue == 0 {
@@ -730,30 +717,13 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".into()).into());
     }
-    if watch_resolution_ms == 0 || watch_capacity == 0 {
-        return Err(
-            ArgError("--watch-resolution-ms and --watch-capacity must be >= 1".into()).into()
-        );
-    }
 
     // Load (and validate) the model before binding the port, so a bad
     // model path fails fast with the taxonomy exit code instead of
     // leaving a listener that 404s everything.
     let model = load_model(&model_path)?;
 
-    let watch = if no_watch {
-        None
-    } else {
-        Some(tevot_serve::WatchConfig {
-            resolution_ms: watch_resolution_ms,
-            capacity: watch_capacity,
-            slos,
-            shadow_every,
-            psi_alert,
-            fu: shadow_fu,
-            ..tevot_serve::WatchConfig::default()
-        })
-    };
+    let watch = (!no_watch).then_some(tevot_serve::WatchConfig { shadow_every, fu: shadow_fu });
     let config = tevot_serve::ServeConfig {
         addr: addr.clone(),
         jobs: 0, // resolve the global --jobs / TEVOT_JOBS setting
@@ -771,177 +741,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
          wait {batch_wait_ms} ms, watch {})",
         tevot_serve::DEFAULT_MODEL,
         server.local_addr(),
-        if no_watch { "off".to_owned() } else { format!("every {watch_resolution_ms} ms") },
+        if no_watch { "off" } else { "on" },
     );
     server.join();
     Ok(())
-}
-
-/// Eight-level block characters for the `top` sparklines.
-const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Renders `points` (`[wall_ms, value]` pairs from `/watch`) as a
-/// fixed-width sparkline scaled to the window's own min..max.
-fn sparkline(points: &[tevot_obs::json::Json], width: usize) -> String {
-    let values: Vec<f64> = points.iter().filter_map(|p| p.as_arr()?.get(1)?.as_f64()).collect();
-    let tail = &values[values.len().saturating_sub(width)..];
-    if tail.is_empty() {
-        return "(no data)".into();
-    }
-    let (lo, hi) =
-        tail.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let span = (hi - lo).max(1e-12);
-    tail.iter()
-        .map(|&v| SPARK[(((v - lo) / span) * 7.0).round().clamp(0.0, 7.0) as usize])
-        .collect()
-}
-
-/// One `top` frame rendered from a `/watch` document.
-fn render_top(doc: &tevot_obs::json::Json, addr: &str) -> String {
-    use tevot_obs::json::Json;
-    let mut out = String::new();
-    let f = |path: &[&str]| -> Option<f64> {
-        let mut node = doc;
-        for key in path {
-            node = node.get(key)?;
-        }
-        node.as_f64()
-    };
-    let alerts_total = f(&["alerts_total"]).unwrap_or(0.0);
-    let reference = doc.get("reference_loaded") == Some(&Json::Bool(true));
-    out.push_str(&format!(
-        "tevot top — {addr}   alerts {alerts_total:.0}   reference {}\n\n",
-        if reference { "loaded" } else { "none" },
-    ));
-
-    if let Some(Json::Obj(series)) = doc.get("series") {
-        out.push_str("series (sparklines over the retained window):\n");
-        for name in
-            ["serve.qps", "serve.p50_us", "serve.p99_us", "serve.error_ratio", "serve.queue_depth"]
-        {
-            let Some((_, Json::Arr(points))) = series.iter().find(|(n, _)| n == name) else {
-                continue;
-            };
-            let last = points
-                .last()
-                .and_then(|p| p.as_arr()?.get(1)?.as_f64())
-                .map(|v| format!("{v:>12.2}"))
-                .unwrap_or_else(|| "           -".into());
-            out.push_str(&format!("  {name:<20} {last}  {}\n", sparkline(points, 40)));
-        }
-    }
-
-    out.push_str("\ndrift (PSI vs training reference):\n");
-    for (label, key) in
-        [("voltage", "voltage_psi"), ("temperature", "temperature_psi"), ("delay", "delay_psi")]
-    {
-        let level = f(&["drift", "psi_alert"]).unwrap_or(0.25);
-        match f(&["drift", key]) {
-            Some(psi) => {
-                let mark = if psi >= level { " ALERT" } else { "" };
-                out.push_str(&format!("  {label:<12} {psi:>8.4}{mark}\n"));
-            }
-            None => out.push_str(&format!("  {label:<12}        -\n")),
-        }
-    }
-    if let Some(acc) = f(&["drift", "shadow_accuracy"]) {
-        out.push_str(&format!("  shadow-acc   {acc:>8.4}\n"));
-    }
-
-    if let Some(Json::Arr(slos)) = doc.get("slo") {
-        if !slos.is_empty() {
-            out.push_str("\nSLOs (burn = window mean / threshold):\n");
-            for slo in slos {
-                let series = slo.get("series").and_then(Json::as_str).unwrap_or("?");
-                let threshold = slo.get("threshold").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                let firing = slo.get("firing") == Some(&Json::Bool(true));
-                let fast = slo.get("burn_fast").and_then(Json::as_f64).unwrap_or(0.0);
-                let slow = slo.get("burn_slow").and_then(Json::as_f64).unwrap_or(0.0);
-                out.push_str(&format!(
-                    "  {series:<20} < {threshold:<10} burn {fast:>6.2}/{slow:<6.2} {}\n",
-                    if firing { "FIRING" } else { "ok" },
-                ));
-            }
-        }
-    }
-
-    if let Some(Json::Arr(alerts)) = doc.get("alerts") {
-        if !alerts.is_empty() {
-            out.push_str("\nrecent alerts:\n");
-            for alert in alerts.iter().rev().take(8) {
-                out.push_str(&format!(
-                    "  [{}] {} at {} ms (threshold {})\n",
-                    alert.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                    alert.get("series").and_then(Json::as_str).unwrap_or("?"),
-                    alert.get("at_ms").and_then(Json::as_u64).unwrap_or(0),
-                    alert.get("threshold").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                ));
-            }
-        }
-    }
-
-    if let Some(Json::Arr(exemplars)) = doc.get("exemplars") {
-        if !exemplars.is_empty() {
-            out.push_str("\nslowest requests (exemplars):\n");
-            for ex in exemplars {
-                let stages: String = ex
-                    .get("stages")
-                    .and_then(Json::as_arr)
-                    .map(|stages| {
-                        stages
-                            .iter()
-                            .map(|s| {
-                                format!(
-                                    "{} {:.1}ms",
-                                    s.get("name").and_then(Json::as_str).unwrap_or("?"),
-                                    s.get("ns").and_then(Json::as_f64).unwrap_or(0.0) / 1e6,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(" | ")
-                    })
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "  #{:<8} {:<10} {:>9.1} ms   {stages}\n",
-                    ex.get("request_id").and_then(Json::as_u64).unwrap_or(0),
-                    ex.get("endpoint").and_then(Json::as_str).unwrap_or("?"),
-                    ex.get("total_us").and_then(Json::as_f64).unwrap_or(0.0) / 1e3,
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// `tevot top`: a live ANSI dashboard over a watching server's
-/// `GET /watch` endpoint — sparklines for the key serve series, drift
-/// PSI scores, SLO burn rates, and recent alerts.
-fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7450").to_owned();
-    let interval_ms: u64 = args.get_or("interval-ms", 1000)?;
-    let once = args.flag("once");
-    args.finish()?;
-
-    loop {
-        let (status, body) = tevot_serve::http::get(&addr, "/watch")
-            .map_err(|e| TevotError::from(e).context(format!("cannot reach {addr}")))?;
-        if status != 200 {
-            return Err(TevotError::new(
-                ErrorKind::Usage,
-                format!("GET /watch on {addr} answered {status}: {body} (serve with watch on?)"),
-            )
-            .into());
-        }
-        let doc = tevot_obs::json::parse(&body)
-            .map_err(|e| TevotError::new(ErrorKind::Parse, format!("bad /watch JSON: {e}")))?;
-        if once {
-            outln!("{}", render_top(&doc, &addr));
-            return Ok(());
-        }
-        // ANSI: clear screen, cursor home — a full redraw per frame.
-        outln!("\x1b[2J\x1b[H{}", render_top(&doc, &addr));
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
 }
 
 /// `tevot prom-check`: fetches `GET /metrics?format=prom` and re-parses

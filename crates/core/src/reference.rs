@@ -9,8 +9,8 @@
 //! [`ReferenceStats::collect`] snapshots three fixed-bin histograms —
 //! requested voltage, temperature, and the training-label delay
 //! distribution — and `TevotModel::save` appends them to the model
-//! file as a versioned `TVRS` block. At serve time, `tevot-watch` bins
-//! live request features against these references and alerts on the
+//! file as a versioned `TVRS` block. At serve time, `GET /watch` bins
+//! live request features against these references and reports the
 //! Population Stability Index (see [`tevot_obs::drift`]).
 //!
 //! Voltage and temperature use fixed global specs (so every model bins

@@ -8,7 +8,10 @@
 //! Keys are matched by name; a key present in only one report renders
 //! with `-` on the other side. Histograms contribute three derived rows
 //! each (`total`, `~p50`, `~p99`, the quantiles interpolated via
-//! [`metrics::quantile_from`](crate::metrics::quantile_from)).
+//! [`metrics::quantile_from`](crate::metrics::quantile_from)). Counters
+//! and histograms that read 0 (or are absent) in both reports are
+//! skipped: every report lists the whole registry, and a run leaves
+//! most of it untouched.
 //!
 //! Per-path self time diffs through the same machinery: the embedded
 //! `tevot-prof/1` `profile` block fills [`Report::profile`], and reports
@@ -285,6 +288,9 @@ pub fn render_diff(a: &Report, b: &Report) -> String {
 
     let mut rows = Vec::new();
     for (key, a_v, b_v) in union_keys(&a.counters, &b.counters) {
+        if a_v.copied().unwrap_or(0) == 0 && b_v.copied().unwrap_or(0) == 0 {
+            continue;
+        }
         rows.push((
             key.to_string(),
             Cell { value: a_v.map(|&v| v as f64), decimals: 0 },
@@ -300,6 +306,9 @@ pub fn render_diff(a: &Report, b: &Report) -> String {
     let mut rows = Vec::new();
     for (key, a_h, b_h) in union_keys(&a_hists, &b_hists) {
         let total = |h: Option<&&HistogramData>| h.map(|h| h.counts.iter().sum::<u64>() as f64);
+        if total(a_h).unwrap_or(0.0) == 0.0 && total(b_h).unwrap_or(0.0) == 0.0 {
+            continue;
+        }
         let quant = |h: Option<&&HistogramData>, q: f64| {
             h.and_then(|h| quantile_from(&h.bounds, &h.counts, q))
         };
@@ -397,6 +406,36 @@ mod tests {
         let text = render_self_time_delta("self time (ms)", &a, &b, 1);
         assert!(text.contains("big"), "{text}");
         assert!(!text.contains("tiny"), "truncated to top 1: {text}");
+    }
+
+    #[test]
+    fn rows_zero_or_absent_in_both_reports_are_skipped() {
+        let counters = |pairs: &[(&str, u64)]| pairs.iter().map(|&(n, v)| (n.into(), v)).collect();
+        let hist = |name: &str, n: u64| HistogramData {
+            name: name.into(),
+            bounds: vec![100, 200],
+            counts: vec![n, 0, 0],
+        };
+        let a = Report {
+            counters: counters(&[("sim.cycles_simulated", 0), ("serve.requests", 0)]),
+            histograms: vec![hist("serve.batch_jobs", 0), hist("sim.cycle_delay_ps", 0)],
+            ..Report::default()
+        };
+        let b = Report {
+            counters: counters(&[("sim.cycles_simulated", 5), ("dfs.decisions", 0)]),
+            histograms: vec![hist("sim.cycle_delay_ps", 1), hist("serve.queue_depth", 0)],
+            ..Report::default()
+        };
+        let text = render_diff(&a, &b);
+        // Moved from 0: kept, with all three histogram rows.
+        assert!(text.contains("sim.cycles_simulated"), "{text}");
+        for row in ["total", "~p50", "~p99"] {
+            assert!(text.contains(&format!("sim.cycle_delay_ps.{row}")), "{text}");
+        }
+        // 0 in both, or 0 on one side and absent on the other: skipped.
+        for name in ["serve.requests", "dfs.decisions", "serve.batch_jobs", "serve.queue_depth"] {
+            assert!(!text.contains(name), "{name} in {text}");
+        }
     }
 
     #[test]

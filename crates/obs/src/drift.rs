@@ -22,7 +22,7 @@
 //!
 //! The serving side keeps live observations in a bounded
 //! [`DriftWindow`] and re-bins them against the model's persisted
-//! reference each sampler tick.
+//! reference whenever `GET /watch` is asked.
 
 /// Floor applied to bin fractions before the PSI log-ratio, keeping
 /// empty bins finite.

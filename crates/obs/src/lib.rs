@@ -27,12 +27,10 @@
 //! substrate behind the CLI's and the experiment binaries' `--metrics`
 //! flag. [`diff`] compares two such documents and renders the delta.
 //!
-//! Production telemetry (`tevot-watch`) builds on those primitives:
-//! [`watch`] is a fixed-memory time-series ring store sampled off the
-//! registry, [`prom`] renders/parses Prometheus text exposition, [`slo`]
-//! evaluates declarative objectives with multi-window burn-rate
-//! alerting, and [`drift`] holds the PSI math for online model-drift
-//! detection.
+//! Serving telemetry builds on those primitives: [`prom`] renders and
+//! parses the Prometheus text exposition a scraper turns into time
+//! series and alerts, and [`drift`] holds the PSI math for online
+//! model-drift detection.
 
 #![warn(missing_docs)]
 
@@ -43,10 +41,8 @@ pub mod metrics;
 pub mod progress;
 pub mod prom;
 pub mod report;
-pub mod slo;
 pub mod span;
 pub mod trace;
-pub mod watch;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Once;

@@ -131,12 +131,6 @@ impl Histogram {
     pub fn quantile(&self, q: f64) -> Option<f64> {
         quantile_from(self.bounds, &self.counts(), q)
     }
-
-    /// The `(p50, p90, p99)` quantile estimates, or `None` when nothing
-    /// was recorded.
-    pub fn quantiles(&self) -> Option<(f64, f64, f64)> {
-        Some((self.quantile(0.5)?, self.quantile(0.9)?, self.quantile(0.99)?))
-    }
 }
 
 /// Interpolated quantile estimation over fixed-bucket histogram data.
@@ -252,10 +246,6 @@ pub static DFS_DECISIONS: Counter = Counter::new("dfs.decisions");
 /// Timing errors fed back into `tevot-dfs` controllers (oracle replays
 /// and any other closed-loop observation source).
 pub static DFS_ERRORS_OBSERVED: Counter = Counter::new("dfs.errors_observed");
-/// SLO/drift alerts raised by `tevot-watch` monitors.
-pub static WATCH_ALERTS: Counter = Counter::new("watch.alerts");
-/// Sampler passes taken over the registry by the watch store.
-pub static WATCH_SAMPLES: Counter = Counter::new("watch.samples");
 /// Served requests replayed through the simulator oracle for shadow
 /// scoring.
 pub static WATCH_SHADOW_REPLAYS: Counter = Counter::new("watch.shadow_replays");
@@ -290,7 +280,7 @@ pub static SERVE_BATCH_JOBS: Histogram =
 pub static SERVE_QUEUE_DEPTH: Histogram =
     Histogram::new("serve.queue_depth", &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
 
-static COUNTERS: [&Counter; 27] = [
+static COUNTERS: [&Counter; 25] = [
     &SIM_CYCLES,
     &SIM_EVENTS,
     &SIM_GATE_EVALS,
@@ -315,8 +305,6 @@ static COUNTERS: [&Counter; 27] = [
     &SERVE_HTTP_ERRORS,
     &DFS_DECISIONS,
     &DFS_ERRORS_OBSERVED,
-    &WATCH_ALERTS,
-    &WATCH_SAMPLES,
     &WATCH_SHADOW_REPLAYS,
 ];
 
@@ -392,7 +380,6 @@ mod tests {
     fn quantiles_of_empty_histogram_are_none() {
         static H: Histogram = Histogram::new("test.q_empty", &[10, 20]);
         assert_eq!(H.quantile(0.5), None);
-        assert_eq!(H.quantiles(), None);
         assert_eq!(quantile_from(&[10, 20], &[0, 0, 0], 0.99), None);
     }
 
@@ -428,7 +415,7 @@ mod tests {
         H.record(1_000);
         H.record(2_000);
         assert_eq!(H.quantile(0.5), Some(5.0));
-        assert_eq!(H.quantiles(), Some((5.0, 5.0, 5.0)));
+        assert_eq!(H.quantile(0.99), Some(5.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | `/healthz`             | GET    | liveness + registered model count         |
 //! | `/metrics`             | GET    | tevot-obs/1 snapshot + live queue depth   |
 //! | `/metrics?format=prom` | GET    | Prometheus 0.0.4 text exposition          |
-//! | `/watch`               | GET    | tevot-watch/1: series, SLOs, drift, alerts |
+//! | `/watch`               | GET    | tevot-watch/2: drift, shadow accuracy, exemplars |
 //!
 //! Every request is assigned a process-unique **request id** at entry:
 //! it is returned in an `X-Request-Id` header on every response,
@@ -34,7 +34,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use tevot::workload::random_workload;
 use tevot::TevotModel;
@@ -117,12 +117,6 @@ impl ServeState {
     pub fn watch(&self) -> Option<&Arc<Watch>> {
         self.watch.get()
     }
-
-    /// The drift reference of the default model, when both the model
-    /// and its train-time reference block are present.
-    pub fn default_reference(&self) -> Option<Arc<TevotModel>> {
-        self.registry.get(DEFAULT_MODEL).filter(|m| m.reference().is_some())
-    }
 }
 
 /// Process-wide request-id source; ids start at 1, so 0 reads as "not
@@ -176,7 +170,7 @@ fn route(state: &ServeState, req: &Request) -> Response {
         ("POST", "/dfs") => timed(&SERVE_DFS_LATENCY_US, || dfs(state, req)),
         ("GET", "/healthz") => healthz(state),
         ("GET", "/metrics") => metrics(state, query),
-        ("GET", "/watch") => watch_endpoint(state, query),
+        ("GET", "/watch") => watch_endpoint(state),
         ("GET", "/models") => list_models(state),
         ("POST", path) if path.strip_prefix("/models/").is_some_and(|n| !n.is_empty()) => {
             swap_model(state, req)
@@ -375,7 +369,7 @@ fn observe_exemplar(
             endpoint,
             total_us: started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             stages,
-            at_ms: tevot_obs::watch::wall_ms(),
+            at_ms: SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64),
         });
     }
 }
@@ -648,25 +642,16 @@ fn metrics(state: &ServeState, query: &str) -> Response {
     }
 }
 
-/// The tevot-watch/1 payload: windowed series (`?since_ms=` trims),
-/// SLO status, drift scores, and retained alerts. 404 when the server
-/// was started without watching.
-fn watch_endpoint(state: &ServeState, query: &str) -> Response {
+/// The tevot-watch/2 payload: drift scores against the default model's
+/// reference, shadow accuracy, and slow-request exemplars. 404 when the
+/// server was started without watching.
+fn watch_endpoint(state: &ServeState) -> Response {
     let Some(watch) = state.watch() else {
         return error_response(404, "usage", "watch is not enabled on this server");
     };
-    let since_ms = match query_param(query, "since_ms") {
-        None => 0,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                return error_response(400, "usage", &format!("bad since_ms value {v:?}"));
-            }
-        },
-    };
-    let model = state.default_reference();
+    let model = state.registry.get(DEFAULT_MODEL);
     let reference = model.as_deref().and_then(TevotModel::reference);
-    Response::json(200, watch.to_json(since_ms, reference).to_string())
+    Response::json(200, watch.to_json(reference).to_string())
 }
 
 #[cfg(test)]
@@ -1082,14 +1067,11 @@ mod tests {
         let response = handle(&state, &get("/watch"));
         assert_eq!(response.status, 200, "{:?}", String::from_utf8_lossy(&response.body));
         let doc = body_json(&response);
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tevot-watch/1"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tevot-watch/2"));
         // The tiny test model carries no reference block.
         assert_eq!(doc.get("reference_loaded"), Some(&Json::Bool(false)));
-        assert!(doc.get("series").is_some());
-        assert!(doc.get("slo").is_some());
+        assert!(doc.get("drift").is_some());
 
-        assert_eq!(handle(&state, &get("/watch?since_ms=nope")).status, 400);
-        assert_eq!(handle(&state, &get("/watch?since_ms=0")).status, 200);
         assert_eq!(handle(&state, &post("/watch", "")).status, 405);
     }
 

@@ -268,7 +268,7 @@ pub fn write_response(stream: &mut impl Write, response: &Response, close: bool)
 
 /// A one-shot blocking `GET` against a tevot-serve endpoint: connects,
 /// sends `Connection: close`, and returns `(status, body)`. Used by the
-/// CLI's `top` and `prom-check` commands; not a general HTTP client
+/// CLI's `prom-check` command; not a general HTTP client
 /// (no redirects, no chunked bodies, no TLS).
 ///
 /// # Errors

@@ -23,11 +23,12 @@
 //!   `Retry-After` when the queue is full, per-request deadlines answer
 //!   504 through `tevot-resil`'s `CancelToken`/`Watchdog`.
 //! * [`server`] — the accept loop and per-connection threads.
-//! * [`watch`] — production telemetry: a fixed-memory time-series store
-//!   fed by a sampler thread, SLO burn-rate monitors, PSI model-drift
-//!   detection against the reference histograms stored in the model
-//!   file, and a shadow-replay thread scoring live accuracy against the
-//!   gate-level simulator. Exposed as `GET /watch` (JSON) and
+//! * [`watch`] — what only the server knows about its model: PSI
+//!   drift of the served (V, T, delay) against the reference
+//!   histograms stored in the model file, a shadow-replay thread
+//!   scoring live accuracy against the gate-level simulator, and the
+//!   slowest requests' stage breakdowns. Exposed as `GET /watch`
+//!   (JSON). Time series and alerting are the scraper's job, over
 //!   `GET /metrics?format=prom` (Prometheus text exposition).
 //! * [`loadgen`] — a deterministic load generator for benches and CI
 //!   smoke tests.

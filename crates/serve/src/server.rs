@@ -37,8 +37,9 @@ pub struct ServeConfig {
     pub batch_wait: Duration,
     /// Maximum accepted request-body size, in bytes.
     pub max_body: usize,
-    /// Telemetry: `Some` starts the watch sampler thread (time-series
-    /// store, SLO monitors, drift detection); `None` serves without it.
+    /// Telemetry: `Some` installs the watch (drift scores, shadow
+    /// accuracy, slow-request exemplars behind `GET /watch`); `None`
+    /// serves without it.
     pub watch: Option<WatchConfig>,
 }
 
@@ -67,7 +68,6 @@ pub struct Server {
     addr: SocketAddr,
     stop: CancelToken,
     accept_handle: Option<std::thread::JoinHandle<()>>,
-    sampler_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -88,6 +88,9 @@ impl Server {
             config.batch,
             config.batch_wait,
         ));
+        if let Some(watch_config) = config.watch {
+            state.install_watch(Arc::new(Watch::new(watch_config)));
+        }
         let stop = CancelToken::new();
         let accept_state = Arc::clone(&state);
         let accept_stop = stop.clone();
@@ -95,22 +98,8 @@ impl Server {
         let accept_handle = std::thread::Builder::new()
             .name("tevot-serve-accept".into())
             .spawn(move || accept_loop(&listener, &accept_state, &accept_stop, max_body))?;
-        let sampler_handle = match config.watch {
-            Some(watch_config) => {
-                let watch = Arc::new(Watch::new(watch_config));
-                state.install_watch(Arc::clone(&watch));
-                let sampler_state = Arc::clone(&state);
-                let sampler_stop = stop.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name("tevot-serve-sampler".into())
-                        .spawn(move || sampler_loop(&watch, &sampler_state, &sampler_stop))?,
-                )
-            }
-            None => None,
-        };
         tevot_obs::info!("serve: listening on {addr}");
-        Ok(Server { state, addr, stop, accept_handle: Some(accept_handle), sampler_handle })
+        Ok(Server { state, addr, stop, accept_handle: Some(accept_handle) })
     }
 
     /// The bound address (resolves `:0` to the actual port).
@@ -152,9 +141,6 @@ impl Server {
                 Err(e) => tevot_obs::warn!("serve: cannot wake the accept loop: {e}"),
             }
         }
-        if let Some(handle) = self.sampler_handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -174,24 +160,6 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
         });
     }
     addr
-}
-
-/// The watch sampler: one tick per `resolution_ms`, polling the stop
-/// token between short sleeps so shutdown converges quickly.
-fn sampler_loop(watch: &Watch, state: &Arc<ServeState>, stop: &CancelToken) {
-    let resolution = Duration::from_millis(watch.config().resolution_ms.max(1));
-    let poll = resolution.min(Duration::from_millis(50));
-    let mut next = std::time::Instant::now() + resolution;
-    while !stop.is_cancelled() {
-        std::thread::sleep(poll);
-        if std::time::Instant::now() < next {
-            continue;
-        }
-        next += resolution;
-        let model = state.default_reference();
-        let reference = model.as_deref().and_then(tevot::TevotModel::reference);
-        let _ = watch.tick(tevot_obs::watch::wall_ms(), state.queue_depth(), reference);
-    }
 }
 
 fn accept_loop(

@@ -342,10 +342,11 @@ fn overload_sheds_with_retry_after_and_answers_every_request() {
 }
 
 /// End-to-end drift detection: a server watching a model whose file
-/// carries reference histograms stays quiet while traffic matches the
-/// training distribution and raises a `drift` alert once the operating
-/// condition moves off-reference. This is the acceptance scenario for
-/// the watch subsystem — no mocks, real sampler thread, real HTTP.
+/// carries reference histograms reports every PSI below the alert level
+/// while traffic matches the training distribution, and a voltage PSI
+/// above it once the operating condition moves off-reference. This is
+/// the acceptance scenario for the watch — no mocks, real HTTP; the
+/// scores are computed when `GET /watch` is asked.
 #[test]
 fn watch_drift_alert_fires_off_reference_and_stays_quiet_on() {
     let train_cond = OperatingCondition::new(0.9, 25.0);
@@ -360,65 +361,48 @@ fn watch_drift_alert_fires_off_reference_and_stays_quiet_on() {
     let conditions = vec![train_cond; delays.len()];
     model.set_reference(ReferenceStats::collect(&conditions, &delays));
 
-    let config = ServeConfig {
-        watch: Some(WatchConfig { resolution_ms: 25, ..WatchConfig::default() }),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { watch: Some(WatchConfig::default()), ..ServeConfig::default() };
     let server = Server::start(config).expect("bind loopback");
     server.state().registry.insert(DEFAULT_MODEL, model);
     let addr = server.local_addr();
     let mut client = Client::connect(addr);
 
-    let drift_alerts = |reply: &Reply| -> usize {
-        reply
-            .json()
-            .get("alerts")
-            .and_then(Json::as_arr)
-            .map(|alerts| {
-                alerts
-                    .iter()
-                    .filter(|a| a.get("kind").and_then(Json::as_str) == Some("drift"))
-                    .count()
-            })
-            .unwrap_or(0)
+    // `[voltage, temperature, delay]` PSI and the alert level, as
+    // `GET /watch` reports them.
+    let scores = |client: &mut Client| -> ([f64; 3], f64) {
+        let reply = client.request("GET", "/watch", "");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let doc = reply.json();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tevot-watch/2"));
+        assert_eq!(doc.get("reference_loaded"), Some(&Json::Bool(true)));
+        let drift = |key: &str| {
+            doc.get("drift").and_then(|d| d.get(key)).and_then(Json::as_f64).expect(key)
+        };
+        (["voltage_psi", "temperature_psi", "delay_psi"].map(drift), drift("psi_alert"))
     };
 
-    // Phase 1: in-distribution traffic. Several sampler ticks pass; the
-    // monitors must stay quiet.
+    // Phase 1: in-distribution traffic; every PSI stays below the level.
     for &(a, b) in &operands {
         let body = format!(r#"{{"voltage":0.9,"temperature":25,"a":{a},"b":{b}}}"#);
         assert_eq!(client.request("POST", "/predict", &body).status, 200);
     }
-    std::thread::sleep(Duration::from_millis(120));
-    let quiet = client.request("GET", "/watch", "");
-    assert_eq!(quiet.status, 200, "{}", quiet.body);
-    assert_eq!(quiet.json().get("reference_loaded"), Some(&Json::Bool(true)));
-    assert_eq!(drift_alerts(&quiet), 0, "clean traffic must not alert: {}", quiet.body);
+    let (quiet, level) = scores(&mut client);
+    assert!(
+        quiet.iter().all(|&psi| psi < level),
+        "clean traffic must stay below {level}: {quiet:?}"
+    );
 
-    // Phase 2: the operating condition moves far off-reference. Enough
-    // observations to dominate the drift windows, then poll for the alert.
-    for round in 0..40 {
+    // Phase 2: the operating condition moves far off-reference, for
+    // twice as many requests as the clean phase sent.
+    for _ in 0..2 {
         for &(a, b) in &operands {
             let body = format!(r#"{{"voltage":0.7,"temperature":90,"a":{a},"b":{b}}}"#);
             assert_eq!(client.request("POST", "/predict", &body).status, 200);
         }
-        std::thread::sleep(Duration::from_millis(60));
-        let reply = client.request("GET", "/watch", "");
-        assert_eq!(reply.status, 200);
-        if drift_alerts(&reply) > 0 {
-            let doc = reply.json();
-            let psi = doc
-                .get("drift")
-                .and_then(|d| d.get("voltage_psi"))
-                .and_then(Json::as_f64)
-                .expect("voltage PSI reported");
-            assert!(psi > 0.25, "alerting PSI should exceed the level: {psi}");
-            server.shutdown();
-            return;
-        }
-        assert!(round < 39, "no drift alert after sustained off-reference traffic");
     }
-    unreachable!();
+    let (drifted, _) = scores(&mut client);
+    assert!(drifted[0] > level, "off-reference voltage must alert: {drifted:?}");
+    server.shutdown();
 }
 
 /// Satellite (d), and the heart of the hot-swap contract: concurrent
