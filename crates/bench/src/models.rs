@@ -192,7 +192,7 @@ pub fn model_rates(
             models[fu_idx].predictor(model),
             workload,
             cond_study.condition,
-            cond_study.periods_ps[speed_idx],
+            cond_study.train.clock_periods_ps()[speed_idx],
         )
     })
 }

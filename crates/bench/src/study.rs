@@ -39,15 +39,6 @@ impl DatasetKind {
             DatasetKind::Gauss => "gauss_data",
         }
     }
-
-    /// The application a dataset was profiled from, if any.
-    pub fn application(self) -> Option<Application> {
-        match self {
-            DatasetKind::Random => None,
-            DatasetKind::Sobel => Some(Application::Sobel),
-            DatasetKind::Gauss => Some(Application::Gaussian),
-        }
-    }
 }
 
 /// Everything characterized at one operating condition for one FU.
@@ -55,12 +46,9 @@ impl DatasetKind {
 pub struct ConditionStudy {
     /// The operating condition.
     pub condition: OperatingCondition,
-    /// The fastest error-free period (max dynamic delay of the training
-    /// workload) that the clock speedups are applied to.
-    pub base_period_ps: u64,
-    /// The overclocked periods, one per configured speedup.
-    pub periods_ps: Vec<u64>,
-    /// Characterization of the (mixed) training workload.
+    /// Characterization of the (mixed) training workload, at the
+    /// overclocked periods (one per configured speedup) shared by every
+    /// characterization below.
     pub train: Characterization,
     /// Characterization of the Fmax suite that set the base period (the
     /// "maximum delay measured offline", which the Delay-based baseline
@@ -76,11 +64,9 @@ impl ConditionStudy {
     /// (bit-exact; see [`Characterization::to_bytes`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(1); // payload format version
+        w.put_u8(2); // payload format version
         w.put_f64(self.condition.voltage());
         w.put_f64(self.condition.temperature());
-        w.put_u64(self.base_period_ps);
-        w.put_u64_slice(&self.periods_ps);
         w.put_bytes(&self.train.to_bytes());
         w.put_bytes(&self.fmax.to_bytes());
         w.put_u64(self.tests.len() as u64);
@@ -99,7 +85,7 @@ impl ConditionStudy {
     pub fn from_bytes(bytes: &[u8]) -> Result<ConditionStudy, TevotError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u8()?;
-        if version != 1 {
+        if version != 2 {
             return Err(r.corrupt(format!("unsupported condition-study version {version}")));
         }
         let voltage = r.f64()?;
@@ -109,8 +95,6 @@ impl ConditionStudy {
                 "implausible operating condition ({voltage} V, {temperature} C)"
             )));
         }
-        let base_period_ps = r.u64()?;
-        let periods_ps = r.u64_slice()?;
         let train = Characterization::from_bytes(r.bytes()?).ctx(|| "train block".into())?;
         let fmax = Characterization::from_bytes(r.bytes()?).ctx(|| "fmax block".into())?;
         let num_tests = r.len_prefix(1)?;
@@ -120,8 +104,6 @@ impl ConditionStudy {
         r.finish()?;
         Ok(ConditionStudy {
             condition: OperatingCondition::new(voltage, temperature),
-            base_period_ps,
-            periods_ps,
             train,
             fmax,
             tests,
@@ -331,111 +313,51 @@ impl Study {
         // error rate) genuinely varies across the (V, T) grid, including
         // the inverse-temperature-dependence corner where a *cold* die at
         // low voltage is the slow one.
-        let mut voltages: Vec<f64> = Vec::new();
-        for cond in config.conditions.iter() {
-            if !voltages.iter().any(|&v| (v - cond.voltage()).abs() < 5e-4) {
-                voltages.push(cond.voltage());
-            }
-        }
-        let base_by_voltage: Vec<(f64, u64)> = tevot_par::map(&voltages, |&v| {
+        let voltages = config.conditions.voltages();
+        let bases: Vec<u64> = tevot_par::map(voltages, |&v| {
             let char_cond = OperatingCondition::new(v, 25.0);
-            (v, characterizer.trace(char_cond, &fmax_suite).fastest_error_free_period_ps())
+            characterizer.trace(char_cond, &fmax_suite).fastest_error_free_period_ps()
         });
-        let base_at = |v: f64| -> u64 {
-            base_by_voltage
-                .iter()
-                .find(|&&(bv, _)| (bv - v).abs() < 5e-4)
-                .expect("every condition voltage was pre-measured")
-                .1
-        };
+        let base_at =
+            |v: f64| bases[voltages.iter().position(|&bv| bv == v).expect("grid voltage")];
         let _span = tevot_obs::span!("characterize");
-        // Restore conditions already journaled to the checkpoint
-        // directory; only the rest are re-characterized.
         let grid: Vec<OperatingCondition> = config.conditions.iter().collect();
-        let shard_name = |i: usize| format!("fu{}-cond-{i}", fu_tag(fu));
-        let mut conditions: Vec<Option<ConditionStudy>> = Vec::with_capacity(grid.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, &cond) in grid.iter().enumerate() {
-            let restored = ckpt.and_then(|c| c.read_valid(&shard_name(i))).and_then(|payload| {
-                match ConditionStudy::from_bytes(&payload) {
-                    Ok(cs) if cs.condition == cond => Some(cs),
-                    Ok(_) => {
-                        tevot_obs::warn!(
-                            "checkpoint: shard {} is for another condition",
-                            shard_name(i)
-                        );
-                        None
-                    }
-                    Err(e) => {
-                        tevot_obs::warn!("checkpoint: shard {} undecodable ({e})", shard_name(i));
-                        None
-                    }
+        let journal = ckpt.map(|dir| tevot_par::Journal {
+            dir,
+            prefix: format!("fu{}-", fu_tag(fu)),
+            to_bytes: ConditionStudy::to_bytes,
+            from_bytes: ConditionStudy::from_bytes,
+            is_for: |cs: &ConditionStudy, &cond| cs.condition == cond,
+        });
+        let conditions = tevot_par::map_journaled(
+            &format!("characterize {fu}"),
+            journal.as_ref(),
+            token,
+            &grid,
+            |&cond| {
+                tevot_obs::debug!("{fu} @ {cond}");
+                // The per-condition Fmax measurement still exists offline
+                // — it is what the Delay-based baseline calibrates against.
+                let periods: Vec<u64> = config
+                    .speedups
+                    .iter()
+                    .map(|s| s.apply_to_period(base_at(cond.voltage())))
+                    .collect();
+                let char_at =
+                    |w: &Workload| characterizer.characterize_with_periods(cond, w, &periods);
+                ConditionStudy {
+                    condition: cond,
+                    train: char_at(&train),
+                    fmax: char_at(&fmax_suite),
+                    tests: [&test_random, &test_sobel, &test_gauss].map(char_at).to_vec(),
                 }
-            });
-            if restored.is_none() {
-                missing.push(i);
-            } else {
-                tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.incr();
-            }
-            conditions.push(restored);
-        }
-        if ckpt.is_some() && missing.len() < grid.len() {
-            tevot_obs::info!(
-                "characterize {fu}: resuming, {} of {} conditions already checkpointed",
-                grid.len() - missing.len(),
-                grid.len()
-            );
-        }
-
-        let progress =
-            tevot_obs::progress::Progress::new(format!("characterize {fu}"), missing.len() as u64);
-        // One `tevot-par` task per condition; the ordered reduction keeps
-        // `conditions` in grid order, identical to the old serial loop.
-        let computed = tevot_par::map_cancellable(token, &missing, |&i| {
-            let cond = grid[i];
-            tevot_obs::debug!("{fu} @ {cond}");
-            let base = base_at(cond.voltage());
-            // The per-condition Fmax measurement still exists offline — it
-            // is what the Delay-based baseline calibrates against.
-            let fmax_trace = characterizer.trace(cond, &fmax_suite);
-            let train_trace = characterizer.trace(cond, &train);
-            let periods: Vec<u64> =
-                config.speedups.iter().map(|s| s.apply_to_period(base)).collect();
-            let train_char = train_trace.characterization(&periods);
-            let fmax_char = fmax_trace.characterization(&periods);
-            let tests = [&test_random, &test_sobel, &test_gauss]
-                .iter()
-                .map(|w| characterizer.trace(cond, w).characterization(&periods))
-                .collect();
-            let study = ConditionStudy {
-                condition: cond,
-                base_period_ps: base,
-                periods_ps: periods,
-                train: train_char,
-                fmax: fmax_char,
-                tests,
-            };
-            // Journal the finished condition before reporting progress, so
-            // a crash immediately after the tick never loses it.
-            let write = match ckpt {
-                Some(c) => c.write(&shard_name(i), &study.to_bytes()),
-                None => Ok(()),
-            };
-            progress.tick();
-            write.map(|()| study)
-        })?;
-        progress.finish();
-        for (slot, outcome) in missing.into_iter().zip(computed) {
-            conditions[slot] = Some(outcome.ctx(|| format!("checkpoint {}", shard_name(slot)))?);
-        }
+            },
+        )?;
         Ok(FuStudy {
             fu,
             train_workload: train,
             test_workloads: vec![test_random, test_sobel, test_gauss],
-            conditions: conditions
-                .into_iter()
-                .map(|c| c.expect("every condition filled"))
-                .collect(),
+            conditions,
         })
     }
 
@@ -480,8 +402,6 @@ mod tests {
             assert_eq!(fa.conditions.len(), fb.conditions.len());
             for (ca, cb) in fa.conditions.iter().zip(&fb.conditions) {
                 assert_eq!(ca.condition, cb.condition);
-                assert_eq!(ca.base_period_ps, cb.base_period_ps);
-                assert_eq!(ca.periods_ps, cb.periods_ps);
                 assert_eq!(ca.train, cb.train);
                 assert_eq!(ca.fmax, cb.fmax);
                 assert_eq!(ca.tests, cb.tests);
@@ -495,8 +415,6 @@ mod tests {
         let cs = &study.fus[0].conditions[0];
         let restored = ConditionStudy::from_bytes(&cs.to_bytes()).unwrap();
         assert_eq!(restored.condition, cs.condition);
-        assert_eq!(restored.base_period_ps, cs.base_period_ps);
-        assert_eq!(restored.periods_ps, cs.periods_ps);
         assert_eq!(restored.train, cs.train);
         assert_eq!(restored.fmax, cs.fmax);
         assert_eq!(restored.tests, cs.tests);
@@ -525,6 +443,25 @@ mod tests {
             tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.get(),
             before + plain.fus[0].conditions.len() as u64
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_shard_is_recomputed_bit_identically() {
+        let dir = scratch("truncated");
+        // One condition, so no shard is restored: the resumed-shard
+        // counter another test asserts on stays untouched.
+        let mut config = micro_config();
+        config.conditions = ConditionGrid::new(vec![0.9], vec![25.0]);
+        config.resume = Some(dir.clone());
+        let first = Study::try_run_single(config.clone(), FunctionalUnit::IntAdd).unwrap();
+        let shard = dir.join("fu0-cond-0.ckpt");
+        let intact = std::fs::read(&shard).unwrap();
+        std::fs::write(&shard, &intact[..intact.len() / 2]).unwrap();
+
+        let resumed = Study::try_run_single(config, FunctionalUnit::IntAdd).unwrap();
+        assert_same_study(&first, &resumed);
+        assert_eq!(std::fs::read(&shard).unwrap(), intact, "the shard is rewritten exactly");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

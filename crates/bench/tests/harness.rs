@@ -27,10 +27,13 @@ fn study_structure_is_consistent() {
     let fu_study = &study.fus[0];
     assert_eq!(fu_study.conditions.len(), 1);
     let cond = &fu_study.conditions[0];
-    // Clock periods are strictly below the fastest error-free base.
-    assert_eq!(cond.periods_ps.len(), 3);
-    for &p in &cond.periods_ps {
-        assert!(p < cond.base_period_ps);
+    // Clock periods are strictly below the fastest error-free base: at
+    // 25 C that is the Fmax suite's own maximum dynamic delay.
+    let periods = cond.train.clock_periods_ps();
+    assert_eq!(periods.len(), 3);
+    assert_eq!(cond.fmax.clock_periods_ps(), periods);
+    for &p in periods {
+        assert!(p < cond.fmax.max_dynamic_delay_ps());
     }
     // Characterizations cover their workloads cycle for cycle.
     assert_eq!(cond.train.num_cycles(), fu_study.train_workload.len());

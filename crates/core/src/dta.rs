@@ -85,14 +85,13 @@ impl SimTrace {
     /// Extracts a [`Characterization`] (per-cycle delays + ground-truth
     /// error flags) at the given clock periods.
     ///
-    /// Error classes derive independently per clock period, so the
-    /// per-period loop runs on the `tevot-par` pool; the ordered
-    /// reduction keeps the output identical to a serial derivation.
+    /// Runs serially: it is cheap next to the trace, and sweeps call it
+    /// inside their per-condition `tevot-par` tasks.
     pub fn characterization(&self, clock_periods_ps: &[u64]) -> Characterization {
         let delays: Vec<u64> = self.cycles.iter().map(CycleResult::dynamic_delay_ps).collect();
-        let erroneous = tevot_par::map(clock_periods_ps, |&p| {
-            self.cycles.iter().map(|c| c.is_erroneous_at(p)).collect()
-        });
+        let erroneous = (clock_periods_ps.iter())
+            .map(|&p| self.cycles.iter().map(|c| c.is_erroneous_at(p)).collect())
+            .collect();
         Characterization {
             fu: self.fu,
             condition: self.condition,
@@ -434,48 +433,23 @@ impl Characterizer {
         self.trace(cond, workload).characterization(clock_periods_ps)
     }
 
-    /// Traces `workload` at every condition of a sweep, one `tevot-par`
-    /// task per condition (the paper's per-(V, T) characterization is
-    /// embarrassingly parallel: each condition re-annotates and
-    /// re-simulates the same netlist independently). Results come back
-    /// in `conditions` order and are bit-identical to a serial sweep at
-    /// any `--jobs` level.
-    pub fn trace_sweep(
-        &self,
-        conditions: &[OperatingCondition],
-        workload: &Workload,
-    ) -> Vec<SimTrace> {
-        let _span = tevot_obs::span!("sweep", "{} conditions", conditions.len());
-        let progress = tevot_obs::progress::Progress::new(
-            format!("sweep {}", self.fu),
-            conditions.len() as u64,
-        );
-        let traces = tevot_par::map(conditions, |&cond| {
-            let trace = self.trace(cond, workload);
-            progress.tick();
-            trace
-        });
-        progress.finish();
-        traces
-    }
-
-    /// Parallel form of [`Self::characterize`]: characterizes `workload`
-    /// at every condition (each at the clock periods obtained from its
-    /// own fastest error-free period), in `conditions` order.
+    /// [`Self::characterize`] at every condition, one `tevot-par` task
+    /// per condition, in `conditions` order: bit-identical to a serial
+    /// sweep at any `--jobs` level.
     pub fn characterize_sweep(
         &self,
         conditions: &[OperatingCondition],
         workload: &Workload,
         speedups: &[ClockSpeedup],
     ) -> Vec<Characterization> {
-        self.trace_sweep(conditions, workload)
-            .iter()
-            .map(|trace| {
-                let base = trace.fastest_error_free_period_ps();
-                let periods: Vec<u64> = speedups.iter().map(|s| s.apply_to_period(base)).collect();
-                trace.characterization(&periods)
-            })
-            .collect()
+        tevot_par::map_journaled(
+            &format!("sweep {}", self.fu),
+            None,
+            &CancelToken::new(),
+            conditions,
+            |&cond| self.characterize(cond, workload, speedups),
+        )
+        .expect("an unjournaled sweep without a deadline cannot fail")
     }
 
     /// The fingerprint of a sweep configuration: every input that shapes
@@ -507,17 +481,11 @@ impl Characterizer {
         tevot_resil::codec::fnv1a64(&w.into_bytes())
     }
 
-    /// Checkpointed, cancellable form of [`Self::characterize_sweep`]:
-    /// every completed condition is committed to `ckpt` as an atomic
-    /// shard (`cond-<index>`), and conditions whose shard already exists
-    /// and verifies are loaded instead of re-simulated. A run killed (or
-    /// cancelled via `token`) mid-sweep therefore resumes from its last
-    /// completed condition, and the resumed output is **bit-identical**
-    /// to an uninterrupted sweep at any `--jobs` level.
-    ///
-    /// The directory is bound to a fingerprint of this sweep's
-    /// configuration on first use; resuming with a different unit, grid,
-    /// speedup set, or workload is refused.
+    /// Checkpointed, cancellable form of [`Self::characterize_sweep`]
+    /// over [`tevot_par::map_journaled`]: condition `i` is journaled to
+    /// shard `cond-<i>` of `ckpt`, so a killed or cancelled sweep resumes
+    /// bit-identically. `ckpt` is bound to this sweep's fingerprint
+    /// (unit, grid, speedups, workload) on first use.
     ///
     /// # Errors
     ///
@@ -534,57 +502,22 @@ impl Characterizer {
         ckpt: &CheckpointDir,
         token: &CancelToken,
     ) -> Result<Vec<Characterization>, TevotError> {
-        let _span = tevot_obs::span!("sweep.ckpt", "{} conditions", conditions.len());
         ckpt.bind_manifest(self.sweep_fingerprint(conditions, workload, speedups))
             .ctx(|| format!("bind checkpoint directory {}", ckpt.path().display()))?;
-
-        let mut results: Vec<Option<Characterization>> = Vec::with_capacity(conditions.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, condition) in conditions.iter().enumerate() {
-            let restored = ckpt.read_valid(&format!("cond-{i}")).and_then(|payload| {
-                match Characterization::from_bytes(&payload) {
-                    Ok(c) if c.condition() == *condition => Some(c),
-                    Ok(_) => {
-                        tevot_obs::warn!("checkpoint: shard cond-{i} is for another condition");
-                        None
-                    }
-                    Err(e) => {
-                        tevot_obs::warn!("checkpoint: shard cond-{i} undecodable ({e})");
-                        None
-                    }
-                }
-            });
-            if restored.is_none() {
-                missing.push(i);
-            } else {
-                tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.incr();
-            }
-            results.push(restored);
-        }
-        if !missing.is_empty() && missing.len() < conditions.len() {
-            tevot_obs::info!(
-                "sweep: resuming, {} of {} conditions already checkpointed",
-                conditions.len() - missing.len(),
-                conditions.len()
-            );
-        }
-
-        let progress =
-            tevot_obs::progress::Progress::new(format!("sweep {}", self.fu), missing.len() as u64);
-        let computed = tevot_par::map_cancellable(token, &missing, |&i| {
-            let trace = self.trace(conditions[i], workload);
-            let base = trace.fastest_error_free_period_ps();
-            let periods: Vec<u64> = speedups.iter().map(|s| s.apply_to_period(base)).collect();
-            let c = trace.characterization(&periods);
-            let write = ckpt.write(&format!("cond-{i}"), &c.to_bytes());
-            progress.tick();
-            write.map(|()| c)
-        })?;
-        progress.finish();
-        for (slot, outcome) in missing.into_iter().zip(computed) {
-            results[slot] = Some(outcome.ctx(|| format!("checkpoint condition {slot}"))?);
-        }
-        Ok(results.into_iter().map(|c| c.expect("every condition filled")).collect())
+        let journal = tevot_par::Journal {
+            dir: ckpt,
+            prefix: String::new(),
+            to_bytes: Characterization::to_bytes,
+            from_bytes: Characterization::from_bytes,
+            is_for: |c: &Characterization, &cond| c.condition() == cond,
+        };
+        tevot_par::map_journaled(
+            &format!("sweep {}", self.fu),
+            Some(&journal),
+            token,
+            conditions,
+            |&cond| self.characterize(cond, workload, speedups),
+        )
     }
 }
 

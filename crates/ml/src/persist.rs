@@ -167,12 +167,6 @@ impl<R: Read> ModelReader<R> {
         self.read_exact(&mut b)?;
         Ok(u64::from_le_bytes(b))
     }
-
-    fn f64(&mut self) -> Result<f64, LoadModelError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(f64::from_le_bytes(b))
-    }
 }
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
@@ -211,6 +205,10 @@ fn write_trees(
     }
     Ok(())
 }
+
+/// One serialized node: feature (u32), value (f64), left (u32), right
+/// (u32), gain (f64).
+const NODE_BYTES: usize = 28;
 
 fn read_trees<R: Read>(
     r: &mut ModelReader<R>,
@@ -251,11 +249,12 @@ fn read_trees<R: Read>(
         let mut nodes = Vec::with_capacity(num_nodes);
         for _ in 0..num_nodes {
             let at = r.offset();
-            let feature = r.u32()?;
-            let value = r.f64()?;
-            let left = r.u32()?;
-            let right = r.u32()?;
-            let gain = r.f64()?;
+            let mut node = [0u8; NODE_BYTES];
+            r.read_exact(&mut node)?;
+            let u32_at = |i: usize| u32::from_le_bytes(node[i..i + 4].try_into().expect("4 bytes"));
+            let f64_at = |i: usize| f64::from_le_bytes(node[i..i + 8].try_into().expect("8 bytes"));
+            let (feature, value, left, right, gain) =
+                (u32_at(0), f64_at(4), u32_at(12), u32_at(16), f64_at(20));
             if feature != u32::MAX
                 && (feature as usize >= num_features
                     || left as usize >= num_nodes
@@ -336,17 +335,6 @@ pub fn save_regressor_path(model: &RandomForestRegressor, path: &Path) -> io::Re
 pub fn load_regressor_path(path: &Path) -> Result<RandomForestRegressor, LoadModelError> {
     open_model(path)
         .and_then(|f| load_regressor(io::BufReader::new(f)))
-        .map_err(|e| e.at_path(path))
-}
-
-/// Loads a classifier forest from `path`; see [`load_regressor_path`].
-///
-/// # Errors
-///
-/// Returns [`LoadModelError::AtPath`] wrapping the underlying failure.
-pub fn load_classifier_path(path: &Path) -> Result<RandomForestClassifier, LoadModelError> {
-    open_model(path)
-        .and_then(|f| load_classifier(io::BufReader::new(f)))
         .map_err(|e| e.at_path(path))
 }
 

@@ -168,16 +168,22 @@ impl Cell {
     }
 }
 
+/// A base under this share of `max(|a|, |b|)` is too close to zero for a
+/// percentage to mean anything (0.003 → 0.490 would read +16233 %).
+const PCT_FLOOR: f64 = 0.05;
+
 fn delta_cells(a: Option<f64>, b: Option<f64>, decimals: usize) -> (String, String) {
     match (a, b) {
         (Some(a), Some(b)) => {
             let delta = format!("{:+.prec$}", b - a, prec = decimals);
-            let pct = if a != 0.0 {
-                format!("{:+.1}%", (b - a) / a * 100.0)
-            } else if b == 0.0 {
+            let pct = if a == 0.0 && b == 0.0 {
                 "0.0%".into()
-            } else {
+            } else if a == 0.0 {
                 "new".into()
+            } else if a.abs() < PCT_FLOOR * b.abs() {
+                "n/a".into()
+            } else {
+                format!("{:+.1}%", (b - a) / a * 100.0)
             };
             (delta, pct)
         }
@@ -436,6 +442,13 @@ mod tests {
         for name in ["serve.requests", "dfs.decisions", "serve.batch_jobs", "serve.queue_depth"] {
             assert!(!text.contains(name), "{name} in {text}");
         }
+    }
+
+    #[test]
+    fn near_zero_base_prints_no_percentage() {
+        assert_eq!(delta_cells(Some(0.003), Some(0.490), 3), ("+0.487".into(), "n/a".into()));
+        assert_eq!(delta_cells(Some(0.5), Some(2.5), 3), ("+2.000".into(), "+400.0%".into()));
+        assert_eq!(delta_cells(Some(0.0), Some(0.4), 3), ("+0.400".into(), "new".into()));
     }
 
     #[test]

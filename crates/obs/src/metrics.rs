@@ -328,16 +328,6 @@ pub fn histograms() -> &'static [&'static Histogram] {
     &HISTOGRAMS
 }
 
-/// Zeroes every registered counter and histogram (test isolation).
-pub fn reset_all() {
-    for c in counters() {
-        c.reset();
-    }
-    for h in histograms() {
-        h.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,10 @@
 //! through a shared atomic cursor, and results travel back over an
 //! `mpsc` channel into an **ordered reduction** — `map(items, f)` always
 //! returns `f(item)` results in `items` order, so parallel output is
-//! indistinguishable from serial output.
+//! indistinguishable from serial output. [`map_journaled`] is the sweep
+//! driver on top: the same map, cancellable, with every finished task
+//! journaled to a checkpoint shard so a killed sweep resumes where it
+//! stopped.
 //!
 //! # Determinism contract
 //!
@@ -50,6 +53,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
+use tevot_resil::checkpoint::CheckpointDir;
 use tevot_resil::{CancelToken, TevotError};
 
 /// The per-task failpoint (`par.task`): a `panic` action simulates a
@@ -151,15 +155,82 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    ordered_map(jobs, None, items, f).expect("a map without a token is never cancelled")
+}
+
+/// [`map_cancellable_with`] with the global worker count.
+///
+/// # Errors
+///
+/// As for [`map_cancellable_with`].
+pub fn map_cancellable<T, R, F>(
+    token: &CancelToken,
+    items: &[T],
+    f: F,
+) -> Result<Vec<R>, TevotError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    map_cancellable_with(jobs(), token, items, f)
+}
+
+/// Cancellable parallel ordered map with an explicit worker count.
+///
+/// [`map_with`], except that workers stop claiming tasks once `token`
+/// is cancelled. In-flight tasks run to completion (cancellation is
+/// cooperative), so a caller journaling per-task results keeps
+/// everything finished before the abort.
+///
+/// # Errors
+///
+/// [`tevot_resil::ErrorKind::Cancelled`] when the token was cancelled
+/// before every task completed; computed results are dropped.
+///
+/// # Panics
+///
+/// A panic inside `f` propagates to the caller, as with [`map_with`].
+pub fn map_cancellable_with<T, R, F>(
+    jobs: usize,
+    token: &CancelToken,
+    items: &[T],
+    f: F,
+) -> Result<Vec<R>, TevotError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    ordered_map(jobs, Some(token), items, f)
+}
+
+/// The one worker-pool body behind every map: without a token it never
+/// checks a flag and never returns `Err`.
+fn ordered_map<T, R, F>(
+    jobs: usize,
+    token: Option<&CancelToken>,
+    items: &[T],
+    f: F,
+) -> Result<Vec<R>, TevotError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let cancelled = || token.is_some_and(CancelToken::is_cancelled);
     let n = items.len();
     let workers = jobs.max(1).min(n);
     if workers <= 1 {
         return items
             .iter()
             .map(|item| {
+                if let Some(token) = token {
+                    token.check("parallel map")?;
+                }
                 task_failpoint();
                 tevot_obs::metrics::PAR_TASKS.incr();
-                f(item)
+                Ok(f(item))
             })
             .collect();
     }
@@ -176,6 +247,9 @@ where
                 // (worker threads are fresh, so each gets a fresh tid).
                 let _lane = tevot_obs::span!("par.worker");
                 loop {
+                    if cancelled() {
+                        break;
+                    }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -200,128 +274,108 @@ where
             slots[i] = Some(result);
             delivered += 1;
         }
-        // A worker that panicked mid-task never delivers its claimed
-        // index; surface the panic via the scope join instead of an
-        // opaque unwrap below.
         if delivered < n {
-            return None;
-        }
-        Some(slots.into_iter().map(|r| r.expect("every index delivered")).collect())
-    })
-    .expect("a parallel task panicked")
-}
-
-/// Cancellable parallel ordered map with the global worker count.
-///
-/// See [`map_cancellable_with`].
-///
-/// # Errors
-///
-/// [`tevot_resil::ErrorKind::Cancelled`] when `token` is cancelled
-/// before every task has completed.
-pub fn map_cancellable<T, R, F>(
-    token: &CancelToken,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, TevotError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_cancellable_with(jobs(), token, items, f)
-}
-
-/// Cancellable parallel ordered map with an explicit worker count.
-///
-/// Identical to [`map_with`] — same ordered reduction, same determinism
-/// contract, same panic propagation — except that workers check `token`
-/// before claiming each task and stop claiming once it is cancelled.
-/// In-flight tasks run to completion (cancellation is cooperative, not
-/// preemptive), so a caller checkpointing per-task results keeps
-/// everything finished before the abort.
-///
-/// # Errors
-///
-/// [`tevot_resil::ErrorKind::Cancelled`] when the token was cancelled
-/// before every task completed; already-computed results are dropped
-/// (the caller resumes from its checkpoints).
-///
-/// # Panics
-///
-/// A panic inside `f` propagates to the caller, as with [`map_with`].
-pub fn map_cancellable_with<T, R, F>(
-    jobs: usize,
-    token: &CancelToken,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, TevotError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = jobs.max(1).min(n);
-    if workers <= 1 {
-        return items
-            .iter()
-            .map(|item| {
-                token.check("parallel map")?;
-                task_failpoint();
-                tevot_obs::metrics::PAR_TASKS.incr();
-                Ok(f(item))
-            })
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || {
-                let _lane = tevot_obs::span!("par.worker");
-                loop {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    task_failpoint();
-                    let result = f(&items[i]);
-                    tevot_obs::metrics::PAR_TASKS.incr();
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut delivered = 0usize;
-        for (i, result) in rx {
-            slots[i] = Some(result);
-            delivered += 1;
-        }
-        if delivered < n {
-            if token.is_cancelled() {
+            if cancelled() {
                 return Some(Err(TevotError::cancelled(format!(
                     "parallel map cancelled after {delivered}/{n} tasks"
                 ))));
             }
-            // A worker panicked: let the scope join re-raise it.
+            // A worker panicked mid-task and never delivered its claimed
+            // index: let the scope join re-raise the panic.
             return None;
         }
         Some(Ok(slots.into_iter().map(|r| r.expect("every index delivered")).collect()))
     })
     .expect("a parallel task panicked")
+}
+
+/// Where [`map_journaled`] commits each finished task, and how it codes
+/// a task's result.
+pub struct Journal<'a, T, R> {
+    /// The checkpoint directory, already bound to the run's fingerprint.
+    pub dir: &'a CheckpointDir,
+    /// Shard-name prefix: task `i` is committed as shard `{prefix}cond-{i}`.
+    pub prefix: String,
+    /// Bit-exact payload encoder.
+    pub to_bytes: fn(&R) -> Vec<u8>,
+    /// Decoder for payloads written by `to_bytes`.
+    pub from_bytes: fn(&[u8]) -> Result<R, TevotError>,
+    /// Whether a restored payload is the result for its item; a shard
+    /// that fails this (left by another grid) is recomputed.
+    pub is_for: fn(&R, &T) -> bool,
+}
+
+impl<T, R> Journal<'_, T, R> {
+    fn shard(&self, i: usize) -> String {
+        format!("{}cond-{i}", self.prefix)
+    }
+
+    /// The journaled result of task `i`, if its shard verifies, decodes
+    /// and belongs to `item`.
+    fn restore(&self, i: usize, item: &T) -> Option<R> {
+        let payload = self.dir.read_valid(&self.shard(i))?;
+        let why = match (self.from_bytes)(&payload) {
+            Ok(r) if (self.is_for)(&r, item) => return Some(r),
+            Ok(_) => "it is for another condition".to_string(),
+            Err(e) => e.to_string(),
+        };
+        tevot_obs::warn!("checkpoint: shard {} unusable ({why}); recomputing", self.shard(i));
+        None
+    }
+}
+
+/// The sweep driver: [`map_cancellable`] with every finished task
+/// journaled to a checkpoint shard.
+///
+/// With a `journal`, a task whose shard restores is not recomputed, and
+/// each computed result is committed *before* its progress tick, so a
+/// killed or cancelled run resumes from its completed tasks with output
+/// bit-identical to an uninterrupted one. Without one, no file is
+/// touched. `label` names the progress bar and the resume message.
+///
+/// # Errors
+///
+/// [`tevot_resil::ErrorKind::Cancelled`] when `token` fires first
+/// (completed shards stay on disk), and [`tevot_resil::ErrorKind::Io`]
+/// when a shard cannot be written after retries.
+pub fn map_journaled<T, R, F>(
+    label: &str,
+    journal: Option<&Journal<'_, T, R>>,
+    token: &CancelToken,
+    items: &[T],
+    f: F,
+) -> Result<Vec<R>, TevotError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let _span = tevot_obs::span!("sweep", "{label}: {} conditions", items.len());
+    let mut results: Vec<Option<R>> = (items.iter().enumerate())
+        .map(|(i, item)| journal.and_then(|j| j.restore(i, item)))
+        .collect();
+    let missing: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
+    let restored = items.len() - missing.len();
+    if restored > 0 {
+        tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.add(restored as u64);
+        tevot_obs::info!(
+            "{label}: resuming, {restored} of {} conditions already checkpointed",
+            items.len()
+        );
+    }
+
+    let progress = tevot_obs::progress::Progress::new(label, missing.len() as u64);
+    let computed = map_cancellable(token, &missing, |&i| {
+        let result = f(&items[i]);
+        let write = journal.map_or(Ok(()), |j| j.dir.write(&j.shard(i), &(j.to_bytes)(&result)));
+        progress.tick();
+        write.map(|()| result)
+    })?;
+    progress.finish();
+    for (i, outcome) in missing.into_iter().zip(computed) {
+        results[i] = Some(outcome?);
+    }
+    Ok(results.into_iter().map(|r| r.expect("every task filled")).collect())
 }
 
 #[cfg(test)]
@@ -461,5 +515,134 @@ mod tests {
             })
         });
         assert!(caught.is_err(), "panic in a task must reach the caller");
+    }
+
+    /// A journal of `(item, item² + 7)` payloads under `dir`.
+    fn square_journal(dir: &CheckpointDir) -> Journal<'_, u64, (u64, u64)> {
+        Journal {
+            dir,
+            prefix: "t-".into(),
+            to_bytes: |&(x, y)| [x.to_le_bytes(), y.to_le_bytes()].concat(),
+            from_bytes: |b| match (b.get(..8), b.get(8..)) {
+                (Some(x), Some(y)) if y.len() == 8 => Ok((
+                    u64::from_le_bytes(x.try_into().unwrap()),
+                    u64::from_le_bytes(y.try_into().unwrap()),
+                )),
+                _ => Err(TevotError::corrupt(format!("{}-byte payload", b.len()))),
+            },
+            is_for: |r, &x| r.0 == x,
+        }
+    }
+
+    fn square(&x: &u64) -> (u64, u64) {
+        (x, x * x + 7)
+    }
+
+    fn journal_dir(tag: &str) -> CheckpointDir {
+        let dir = std::env::temp_dir().join(format!("tevot_par_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointDir::open(dir).unwrap()
+    }
+
+    #[test]
+    fn journaled_map_is_identical_at_any_jobs_and_resumes_without_recomputing() {
+        let _scope = tevot_resil::fail::scoped("");
+        let items: Vec<u64> = (0..23).collect();
+        let serial: Vec<(u64, u64)> = items.iter().map(square).collect();
+        let token = CancelToken::new();
+        for jobs in [1, 4] {
+            let dir = journal_dir(&format!("jobs{jobs}"));
+            let journal = square_journal(&dir);
+            let calls = AtomicUsize::new(0);
+            let counted = |x: &u64| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                square(x)
+            };
+            let run =
+                || with_jobs(jobs, || map_journaled("t", Some(&journal), &token, &items, counted));
+            assert_eq!(run().unwrap(), serial, "jobs {jobs}");
+            assert_eq!(calls.swap(0, Ordering::Relaxed), items.len());
+
+            let resumed_before = tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.get();
+            assert_eq!(run().unwrap(), serial, "resumed at jobs {jobs}");
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "a full journal recomputes nothing");
+            assert_eq!(
+                tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.get(),
+                resumed_before + items.len() as u64
+            );
+            std::fs::remove_dir_all(dir.path()).unwrap();
+        }
+    }
+
+    #[test]
+    fn truncated_and_foreign_shards_are_recomputed_bit_identically() {
+        let _scope = tevot_resil::fail::scoped("");
+        let items: Vec<u64> = (0..8).collect();
+        let token = CancelToken::new();
+        let dir = journal_dir("damaged");
+        let journal = square_journal(&dir);
+        let plain = map_journaled("t", Some(&journal), &token, &items, square).unwrap();
+        let truncated = dir.shard_path("t-cond-2");
+        let intact = std::fs::read(&truncated).unwrap();
+        std::fs::write(&truncated, &intact[..intact.len() / 2]).unwrap();
+        // A verified shard whose payload belongs to another item.
+        std::fs::copy(dir.shard_path("t-cond-1"), dir.shard_path("t-cond-5")).unwrap();
+
+        let recomputed = std::sync::Mutex::new(Vec::new());
+        let resumed = with_jobs(4, || {
+            map_journaled("t", Some(&journal), &token, &items, |x| {
+                recomputed.lock().unwrap().push(*x);
+                square(x)
+            })
+        })
+        .unwrap();
+        assert_eq!(resumed, plain);
+        let mut recomputed = recomputed.into_inner().unwrap();
+        recomputed.sort_unstable();
+        assert_eq!(recomputed, vec![2, 5]);
+        assert_eq!(std::fs::read(&truncated).unwrap(), intact, "the shard is rewritten exactly");
+        std::fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn cancelled_journaled_map_keeps_earlier_shards_readable() {
+        let _scope = tevot_resil::fail::scoped("");
+        let items: Vec<u64> = (0..6).collect();
+        let dir = journal_dir("cancel");
+        let journal = square_journal(&dir);
+        let plain =
+            map_journaled("t", Some(&journal), &CancelToken::new(), &items, square).unwrap();
+        std::fs::remove_file(dir.shard_path("t-cond-4")).unwrap();
+
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for jobs in [1, 4] {
+            let e = with_jobs(jobs, || {
+                map_journaled("t", Some(&journal), &cancelled, &items, square).unwrap_err()
+            });
+            assert_eq!(e.kind(), tevot_resil::ErrorKind::Cancelled, "jobs {jobs}");
+        }
+        for i in [0, 1, 2, 3, 5] {
+            assert!(dir.read_valid(&format!("t-cond-{i}")).is_some(), "shard {i}");
+        }
+        assert!(dir.read_valid("t-cond-4").is_none());
+        let resumed = map_journaled("t", Some(&journal), &CancelToken::new(), &items, square);
+        assert_eq!(resumed.unwrap(), plain);
+        std::fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn unjournaled_map_writes_no_file() {
+        let _scope = tevot_resil::fail::scoped("");
+        let items: Vec<u64> = (0..9).collect();
+        let written = tevot_obs::metrics::RESIL_CKPT_SHARDS_WRITTEN.get();
+        let resumed = tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.get();
+        for jobs in [1, 4] {
+            let out =
+                with_jobs(jobs, || map_journaled("t", None, &CancelToken::new(), &items, square));
+            assert_eq!(out.unwrap(), items.iter().map(square).collect::<Vec<_>>());
+        }
+        assert_eq!(tevot_obs::metrics::RESIL_CKPT_SHARDS_WRITTEN.get(), written);
+        assert_eq!(tevot_obs::metrics::RESIL_CKPT_SHARDS_RESUMED.get(), resumed);
     }
 }
